@@ -36,26 +36,20 @@ Run locally with::
 from __future__ import annotations
 
 import argparse
-import os
-import subprocess
-import sys
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from smoke_common import outcome_keys, spawn, stop
 
-from repro.engine.config import EngineConfig                     # noqa: E402
-from repro.faults import FaultInjector, FaultPlan                # noqa: E402
-from repro.service.client import ServiceClient                   # noqa: E402
-from repro.service.service import SolverService                  # noqa: E402
-from repro.workload import (                                     # noqa: E402
+from repro.engine.config import EngineConfig
+from repro.faults import FaultInjector, FaultPlan
+from repro.service.client import ServiceClient
+from repro.service.service import SolverService
+from repro.workload import (
     build_scenario,
     client_factory,
     inprocess_factory,
     run_events,
 )
-
-REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCENARIO = "tenant-churn"
 
@@ -98,14 +92,6 @@ AGGRESSIVE = dict(
 )
 
 
-def _env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_SRC) + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return env
-
-
 def check_plan_determinism(spec: str) -> None:
     """Two injectors over one plan must make identical decisions."""
     plan = FaultPlan.from_spec(spec)
@@ -120,47 +106,6 @@ def check_plan_determinism(spec: str) -> None:
                 f"fault point {point.name} is not deterministic"
             )
     print(f"plan determinism: ok ({len(plan.points)} points x 256 decisions)")
-
-
-def spawn_serve(socket_path: Path, workdir: Path, spec: str) -> subprocess.Popen:
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--socket", str(socket_path),
-            "--jobs", "2", "--quick-slice", "0",
-            "--cache", "disk", "--cache-dir", str(workdir / "cache"),
-            "--log-file", str(workdir / "daemon.log"),
-            "--chaos", spec,
-        ],
-        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        if socket_path.exists():
-            try:
-                ServiceClient(str(socket_path), retries=0).close()
-                return proc
-            except OSError:
-                pass
-        if proc.poll() is not None:
-            raise SystemExit(f"serve died during startup:\n{proc.stderr.read()}")
-        time.sleep(0.05)
-    proc.kill()
-    raise SystemExit("serve did not come up within 60s")
-
-
-def outcome_keys(result) -> list[tuple] | None:
-    """What must reproduce for one event (None = skip the comparison).
-
-    Status and fingerprint are deterministic facts about the formula; the
-    model's literals are not (a different racer or the solo fallback can
-    win under chaos), so they are deliberately NOT compared.  A retried
-    ``close_session`` may legitimately report ``existed=False`` — the
-    documented idempotency caveat — so it only has to succeed.
-    """
-    if result.kind == "close_session":
-        return None
-    return [(r.status, r.fingerprint) for r in result.responses]
 
 
 def main() -> int:
@@ -201,7 +146,13 @@ def main() -> int:
     print(f"baseline: {len(events)} events in {wall:.2f}s, all ok")
 
     sock = workdir / "serve.sock"
-    proc = spawn_serve(sock, workdir, spec)
+    proc, _ = spawn(
+        "serve", "--socket", str(sock),
+        "--jobs", "2", "--quick-slice", "0",
+        "--cache", "disk", "--cache-dir", str(workdir / "cache"),
+        "--log-file", str(workdir / "daemon.log"),
+        "--chaos", spec,
+    )
     phases_ok = False
     try:
         results, wall = run_events(
@@ -269,27 +220,9 @@ def main() -> int:
         print("chaos smoke: all green")
         phases_ok = True
     finally:
-        try:
-            with ServiceClient(str(sock)) as client:
-                client.shutdown()
-        except OSError:
-            pass
-        try:
-            out, err = proc.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            out, err = proc.communicate(timeout=10)
-            if phases_ok:
-                raise SystemExit(
-                    f"serve did not exit after shutdown\n"
-                    f"stdout:\n{out}\nstderr:\n{err}"
-                )
-        else:
-            if phases_ok and proc.returncode != 0:
-                raise SystemExit(
-                    f"serve exited {proc.returncode}\n"
-                    f"stdout:\n{out}\nstderr:\n{err}"
-                )
+        # Never let teardown mask a phase failure: the daemon's exit
+        # status only counts when every phase passed.
+        stop(proc, check=phases_ok)
     return 0
 
 

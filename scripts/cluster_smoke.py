@@ -34,29 +34,23 @@ Run locally with::
 from __future__ import annotations
 
 import argparse
-import os
-import re
-import signal
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from smoke_common import outcome_keys, repro_env, spawn, stop
 
-from repro.engine.config import EngineConfig                     # noqa: E402
-from repro.service.client import ServiceClient                   # noqa: E402
-from repro.service.requests import SolveRequest                  # noqa: E402
-from repro.service.service import SolverService                  # noqa: E402
-from repro.cnf.generators import random_planted_ksat             # noqa: E402
-from repro.workload import (                                     # noqa: E402
+from repro.engine.config import EngineConfig
+from repro.service.client import ServiceClient
+from repro.service.requests import SolveRequest
+from repro.service.service import SolverService
+from repro.cnf.generators import random_planted_ksat
+from repro.workload import (
     build_scenario,
     client_factory,
     inprocess_factory,
     run_events,
 )
-
-REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCENARIO = "tenant-churn"
 TENANTS = 3
@@ -70,21 +64,9 @@ TOKEN = "cluster-smoke-token"
 CHAOS = "seed={seed};sync.drop:p=0.3,count=3;worker.kill:p=0.05,count=1"
 
 
-def _env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_SRC) + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    env.pop("REPRO_CHAOS", None)
-    env["REPRO_AUTH_TOKEN"] = TOKEN
-    return env
-
-
-def spawn_node(workdir: Path, name: str, seed: int,
-               peers: list[str]) -> tuple[subprocess.Popen, str]:
+def spawn_node(workdir: Path, name: str, seed: int, peers: list[str]):
     """Boot ``repro serve --tcp 127.0.0.1:0`` and return (proc, address)."""
-    cmd = [
-        sys.executable, "-m", "repro", "serve",
+    args = [
         "--tcp", "127.0.0.1:0",
         "--jobs", "2", "--quick-slice", "0",
         "--cache", "disk", "--cache-dir", str(workdir / f"cache-{name}"),
@@ -94,57 +76,24 @@ def spawn_node(workdir: Path, name: str, seed: int,
         "--sync-interval", "0.2",
     ]
     for peer in peers:
-        cmd += ["--peer", peer]
-    proc = subprocess.Popen(
-        cmd, env=_env(), stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT, text=True,
+        args += ["--peer", peer]
+    proc, address = spawn("serve", *args, env=repro_env(REPRO_AUTH_TOKEN=TOKEN))
+    print(f"node {name}: {address} (log: {workdir}/node-{name}.log)")
+    return proc, address
+
+
+def spawn_router(workdir: Path, nodes: list[str]):
+    proc, address = spawn(
+        "route",
+        "--listen", "tcp://127.0.0.1:0",
+        *[arg for node in nodes for arg in ("--node", node)],
+        "--auth-token", TOKEN,
+        "--health-interval", "0.3",
+        "--log-file", str(workdir / "router.log"),
+        env=repro_env(REPRO_AUTH_TOKEN=TOKEN),
     )
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line and proc.poll() is not None:
-            raise SystemExit(f"node {name} died during startup")
-        match = re.search(r"listening on (tcp://\S+)", line or "")
-        if match:
-            address = match.group(1)
-            print(f"node {name}: {address} (log: {workdir}/node-{name}.log)")
-            return proc, address
-    proc.kill()
-    raise SystemExit(f"node {name} did not come up within 60s")
-
-
-def spawn_router(workdir: Path, nodes: list[str]) -> tuple[subprocess.Popen, str]:
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "route",
-            "--listen", "tcp://127.0.0.1:0",
-            *[arg for node in nodes for arg in ("--node", node)],
-            "--auth-token", TOKEN,
-            "--health-interval", "0.3",
-            "--log-file", str(workdir / "router.log"),
-        ],
-        env=_env(), stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT, text=True,
-    )
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line and proc.poll() is not None:
-            raise SystemExit("router died during startup")
-        match = re.search(r"listening on (tcp://\S+)", line or "")
-        if match:
-            address = match.group(1)
-            print(f"router: {address} (log: {workdir}/router.log)")
-            return proc, address
-    proc.kill()
-    raise SystemExit("router did not come up within 60s")
-
-
-def outcome_keys(result) -> list[tuple] | None:
-    """(status, fingerprint) per response; None = skip (close replay)."""
-    if result.kind == "close_session":
-        return None
-    return [(r.status, r.fingerprint) for r in result.responses]
+    print(f"router: {address} (log: {workdir}/router.log)")
+    return proc, address
 
 
 def drive(events, address: str, expected, phase: str) -> None:
@@ -219,17 +168,6 @@ def wait_node_down(router_addr: str, dead: str) -> dict:
                 return picture
             time.sleep(0.1)
     raise SystemExit(f"router never noticed {dead} going down")
-
-
-def stop(proc: subprocess.Popen | None, *, hard: bool = False) -> None:
-    if proc is None or proc.poll() is not None:
-        return
-    proc.send_signal(signal.SIGKILL if hard else signal.SIGTERM)
-    try:
-        proc.wait(timeout=15)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait(timeout=15)
 
 
 def main() -> int:

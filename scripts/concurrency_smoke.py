@@ -29,17 +29,11 @@ Run locally with::
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.service.client import ServiceClient                   # noqa: E402
-
-REPO_SRC = Path(__file__).resolve().parents[1] / "src"
+from smoke_common import repro_env, spawn, stop
 
 #: Two race-heavy streams with disjoint session namespaces
 #: (``churn-*`` vs ``color-*``): concurrent clients never fight over a
@@ -50,38 +44,6 @@ SPEEDUP_BAR = 1.3
 ATTEMPTS = 3
 
 
-def _env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_SRC) + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return env
-
-
-def spawn_serve(socket_path: Path) -> subprocess.Popen:
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--socket", str(socket_path),
-            "--jobs", "2", "--quick-slice", "0",
-        ],
-        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        if socket_path.exists():
-            try:
-                ServiceClient(str(socket_path)).close()
-                return proc
-            except OSError:
-                pass
-        if proc.poll() is not None:
-            raise SystemExit(f"serve died during startup:\n{proc.stderr.read()}")
-        time.sleep(0.05)
-    proc.kill()
-    raise SystemExit("serve did not come up within 60s")
-
-
 def loadgen(scenario: str, seed: int, sock: Path, out: Path) -> subprocess.Popen:
     return subprocess.Popen(
         [
@@ -89,7 +51,8 @@ def loadgen(scenario: str, seed: int, sock: Path, out: Path) -> subprocess.Popen
             "--tenants", str(TENANTS), "--changes", str(CHANGES),
             "--seed", str(seed), "--connect", str(sock), "--out", str(out),
         ],
-        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=repro_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True,
     )
 
 
@@ -111,7 +74,9 @@ def main() -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     sock = workdir / "serve.sock"
 
-    proc = spawn_serve(sock)
+    proc, _ = spawn(
+        "serve", "--socket", str(sock), "--jobs", "2", "--quick-slice", "0"
+    )
     phases_ok = False
     try:
         # Warm the worker pool (fork + first-task costs land here, not in
@@ -174,30 +139,9 @@ def main() -> int:
 
         phases_ok = True
     finally:
-        # Always try to stop the daemon, but never let teardown mask a
-        # phase failure: only raise about the daemon when the phases
-        # themselves all passed.
-        try:
-            with ServiceClient(str(sock)) as client:
-                client.shutdown()
-        except OSError:
-            pass
-        try:
-            out, err = proc.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            out, err = proc.communicate(timeout=10)
-            if phases_ok:
-                raise SystemExit(
-                    f"serve did not exit after shutdown\n"
-                    f"stdout:\n{out}\nstderr:\n{err}"
-                )
-        else:
-            if phases_ok and proc.returncode != 0:
-                raise SystemExit(
-                    f"serve exited {proc.returncode}\n"
-                    f"stdout:\n{out}\nstderr:\n{err}"
-                )
+        # Never let teardown mask a phase failure: the daemon's exit
+        # status only counts when every phase passed.
+        stop(proc, check=phases_ok)
     return 0
 
 

@@ -19,61 +19,25 @@ artifact on failure).  Run locally with::
 
 from __future__ import annotations
 
-import os
-import subprocess
 import sys
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from smoke_common import spawn, stop
 
-from repro.cnf.clause import Clause                              # noqa: E402
-from repro.cnf.generators import random_planted_ksat             # noqa: E402
-from repro.core.change import (                                  # noqa: E402
-    AddClause,
-    AddVariable,
-    ChangeSet,
-    RemoveClause,
-)
-from repro.service.client import ServiceClient                   # noqa: E402
-from repro.service.requests import ChangeRequest, SolveRequest   # noqa: E402
+from repro.cnf.clause import Clause
+from repro.cnf.generators import random_planted_ksat
+from repro.core.change import AddClause, AddVariable, ChangeSet, RemoveClause
+from repro.service.client import ServiceClient
+from repro.service.requests import ChangeRequest, SolveRequest
 
 
-def spawn(socket_path: Path, cache_dir: Path, log_path: Path) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+def serve(socket_path: Path, cache_dir: Path, log_path: Path):
+    proc, _address = spawn(
+        "serve", "--socket", str(socket_path),
+        "--cache", "disk", "--cache-dir", str(cache_dir),
+        "--jobs", "2", "--log-file", str(log_path),
     )
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--socket", str(socket_path),
-            "--cache", "disk", "--cache-dir", str(cache_dir),
-            "--jobs", "2", "--log-file", str(log_path),
-        ],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        if socket_path.exists():
-            try:
-                ServiceClient(str(socket_path)).close()
-                return proc
-            except OSError:
-                pass
-        if proc.poll() is not None:
-            raise SystemExit(f"serve died during startup:\n{proc.stderr.read()}")
-        time.sleep(0.05)
-    proc.kill()
-    raise SystemExit("serve did not come up within 60s")
-
-
-def stop(proc: subprocess.Popen) -> None:
-    out, err = proc.communicate(timeout=60)
-    if proc.returncode != 0:
-        raise SystemExit(
-            f"serve exited with {proc.returncode}\nstdout:\n{out}\nstderr:\n{err}"
-        )
+    return proc
 
 
 def main() -> int:
@@ -85,7 +49,7 @@ def main() -> int:
 
     formula, _witness = random_planted_ksat(24, 80, rng=11)
 
-    proc = spawn(sock, cache_dir, log)
+    proc = serve(sock, cache_dir, log)
     with ServiceClient(str(sock)) as client:
         opened = client.solve(SolveRequest(formula=formula, session="ci", seed=0))
         assert opened.status == "sat", opened
@@ -110,11 +74,11 @@ def main() -> int:
         assert tightened.status in ("sat", "unsat"), tightened
         print(f"tightening change: {tightened.status} via {tightened.source}")
         client.shutdown()
-    stop(proc)
+    stop(proc, check=True)
     print("clean shutdown: ok")
 
     # Restart over the same cache directory: the cross-process hit.
-    proc = spawn(sock, cache_dir, log)
+    proc = serve(sock, cache_dir, log)
     with ServiceClient(str(sock)) as client:
         warm = client.solve(SolveRequest(formula=formula, seed=0))
         assert warm.status == "sat", warm
@@ -123,7 +87,7 @@ def main() -> int:
         assert stats["engine"]["solver_calls"] == 0, stats
         print(f"cross-process cache hit: ok ({stats['cache']['hits']} hits)")
         client.shutdown()
-    stop(proc)
+    stop(proc, check=True)
     print("service smoke: all green")
     return 0
 

@@ -21,31 +21,17 @@ Run locally with::
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from repro.service.client import ServiceClient                   # noqa: E402
-
-REPO_SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def _env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_SRC) + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return env
+from smoke_common import repro_env, spawn, stop
 
 
 def run_cli(*args: str) -> str:
     proc = subprocess.run(
         [sys.executable, "-m", "repro", *args],
-        env=_env(), capture_output=True, text=True, timeout=300,
+        env=repro_env(), capture_output=True, text=True, timeout=300,
     )
     if proc.returncode != 0:
         raise SystemExit(
@@ -53,30 +39,6 @@ def run_cli(*args: str) -> str:
             f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
         )
     return proc.stdout
-
-
-def spawn_serve(socket_path: Path, log_path: Path) -> subprocess.Popen:
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--socket", str(socket_path),
-            "--jobs", "2", "--log-file", str(log_path),
-        ],
-        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        if socket_path.exists():
-            try:
-                ServiceClient(str(socket_path)).close()
-                return proc
-            except OSError:
-                pass
-        if proc.poll() is not None:
-            raise SystemExit(f"serve died during startup:\n{proc.stderr.read()}")
-        time.sleep(0.05)
-    proc.kill()
-    raise SystemExit("serve did not come up within 60s")
 
 
 #: Keys every frame must carry (build_frame's wire contract).
@@ -104,7 +66,10 @@ def main() -> int:
     sock = workdir / "serve.sock"
     log = workdir / "daemon.log"
 
-    proc = spawn_serve(sock, log)
+    proc, _ = spawn(
+        "serve", "--socket", str(sock), "--jobs", "2", "--log-file", str(log)
+    )
+    phases_ok = False
     try:
         run_cli(
             "loadgen", "sat-mixed", "--tenants", "2", "--changes", "4",
@@ -135,14 +100,9 @@ def main() -> int:
             check_frame(watched, f"watch[{i}]")
         print("watch stream: ok (2 frames)")
 
-        with ServiceClient(str(sock)) as client:
-            client.shutdown()
+        phases_ok = True
     finally:
-        out, err = proc.communicate(timeout=60)
-        if proc.returncode != 0:
-            raise SystemExit(
-                f"serve exited {proc.returncode}\nstdout:\n{out}\nstderr:\n{err}"
-            )
+        stop(proc, check=phases_ok)
     records = [json.loads(line) for line in log.read_text().splitlines()]
     assert any(r["event"] == "op" for r in records), "no op records logged"
     print("clean shutdown + structured log: ok")

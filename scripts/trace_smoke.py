@@ -30,27 +30,17 @@ Run locally with::
 from __future__ import annotations
 
 import argparse
-import os
-import re
-import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from smoke_common import repro_env, spawn, stop
 
-from repro.cnf.generators import random_planted_ksat             # noqa: E402
-from repro.obs.tracing import (                                  # noqa: E402
-    Tracer,
-    group_traces,
-    load_spans,
-    trace_tree,
-)
-from repro.service.client import ServiceClient                   # noqa: E402
-from repro.service.requests import SolveRequest                  # noqa: E402
-
-REPO_SRC = Path(__file__).resolve().parents[1] / "src"
+from repro.cnf.generators import random_planted_ksat
+from repro.obs.tracing import Tracer, group_traces, load_spans, trace_tree
+from repro.service.client import ServiceClient
+from repro.service.requests import SolveRequest
 
 BURST = 8
 
@@ -61,65 +51,32 @@ REQUIRED_CHAIN = ("client.solve", "router.forward", "daemon.solve",
 REQUIRED_LEAVES = ("pool.wait", "solve")
 
 
-def _env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_SRC) + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    env.pop("REPRO_CHAOS", None)
-    env.pop("REPRO_AUTH_TOKEN", None)
-    return env
-
-
-def _await_listening(proc: subprocess.Popen, name: str) -> str:
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line and proc.poll() is not None:
-            raise SystemExit(f"{name} died during startup")
-        match = re.search(r"listening on (tcp://\S+)", line or "")
-        if match:
-            return match.group(1)
-    proc.kill()
-    raise SystemExit(f"{name} did not come up within 60s")
-
-
-def spawn_node(workdir: Path, name: str) -> tuple[subprocess.Popen, str]:
+def spawn_node(workdir: Path, name: str):
     """Boot a traced node; jobs=2 + zero quick slice force the fan-out
     race so every solve produces pool.wait / solve spans."""
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--tcp", "127.0.0.1:0",
-            "--jobs", "2", "--quick-slice", "0",
-            "--cache", "disk", "--cache-dir", str(workdir / f"cache-{name}"),
-            "--log-file", str(workdir / f"node-{name}.log"),
-            "--trace-log", str(workdir / f"node-{name}-trace.jsonl"),
-            "--trace-sample", "0",
-        ],
-        env=_env(), stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT, text=True,
+    proc, address = spawn(
+        "serve",
+        "--tcp", "127.0.0.1:0",
+        "--jobs", "2", "--quick-slice", "0",
+        "--cache", "disk", "--cache-dir", str(workdir / f"cache-{name}"),
+        "--log-file", str(workdir / f"node-{name}.log"),
+        "--trace-log", str(workdir / f"node-{name}-trace.jsonl"),
+        "--trace-sample", "0",
     )
-    address = _await_listening(proc, f"node {name}")
     print(f"node {name}: {address}")
     return proc, address
 
 
-def spawn_router(workdir: Path, nodes: list[str]) -> tuple[subprocess.Popen, str]:
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "route",
-            "--listen", "tcp://127.0.0.1:0",
-            *[arg for node in nodes for arg in ("--node", node)],
-            "--health-interval", "0.3",
-            "--log-file", str(workdir / "router.log"),
-            "--trace-log", str(workdir / "router-trace.jsonl"),
-            "--trace-sample", "0",
-        ],
-        env=_env(), stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT, text=True,
+def spawn_router(workdir: Path, nodes: list[str]):
+    proc, address = spawn(
+        "route",
+        "--listen", "tcp://127.0.0.1:0",
+        *[arg for node in nodes for arg in ("--node", node)],
+        "--health-interval", "0.3",
+        "--log-file", str(workdir / "router.log"),
+        "--trace-log", str(workdir / "router-trace.jsonl"),
+        "--trace-sample", "0",
     )
-    address = _await_listening(proc, "router")
     print(f"router: {address}")
     return proc, address
 
@@ -188,18 +145,13 @@ def check_chaos_retries(workdir: Path) -> None:
     ``wire.drop`` fires daemon-side (pre-dispatch), so the phase boots
     its own chaos node: the drops must not poison the burst cluster.
     """
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--tcp", "127.0.0.1:0", "--jobs", "1",
-            "--log-file", str(workdir / "node-chaos.log"),
-            "--chaos", "seed=7;wire.drop:p=1,count=2",
-        ],
-        env=_env(), stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT, text=True,
+    proc, address = spawn(
+        "serve",
+        "--tcp", "127.0.0.1:0", "--jobs", "1",
+        "--log-file", str(workdir / "node-chaos.log"),
+        "--chaos", "seed=7;wire.drop:p=1,count=2",
     )
     try:
-        address = _await_listening(proc, "chaos node")
         tracer = Tracer(
             service="client", sample=1.0,
             log_path=str(workdir / "client-trace.jsonl"),
@@ -234,7 +186,7 @@ def check_trace_cli(workdir: Path) -> None:
     result = subprocess.run(
         [sys.executable, "-m", "repro", "trace", *trace_logs(workdir),
          "--limit", "3"],
-        env=_env(), capture_output=True, text=True, timeout=60,
+        env=repro_env(), capture_output=True, text=True, timeout=60,
     )
     if result.returncode != 0:
         raise SystemExit(f"repro trace failed:\n{result.stdout}{result.stderr}")
@@ -246,17 +198,6 @@ def check_trace_cli(workdir: Path) -> None:
     print("repro trace CLI: ok — sample waterfall:")
     for line in result.stdout.splitlines()[:8]:
         print(f"  {line}")
-
-
-def stop(proc: subprocess.Popen | None, *, hard: bool = False) -> None:
-    if proc is None or proc.poll() is not None:
-        return
-    proc.send_signal(signal.SIGKILL if hard else signal.SIGTERM)
-    try:
-        proc.wait(timeout=15)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait(timeout=15)
 
 
 def main() -> int:

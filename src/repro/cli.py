@@ -258,8 +258,6 @@ def _cmd_solve_batch(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Run the ``SolverService`` daemon on Unix and/or TCP sockets."""
-    import signal
-
     from repro.engine.config import EngineConfig
     from repro.service.daemon import ServiceDaemon
     from repro.service.service import SolverService
@@ -326,29 +324,37 @@ def _cmd_serve(args) -> int:
         syncer=syncer,
         tracer=tracer,
     )
-    daemon.bind()
+    return _serve_until_drained(daemon, "serve")
+
+
+def _serve_until_drained(server, name: str, notes=()) -> int:
+    """Bind a frame server, print its readiness lines, and serve it
+    until SIGTERM (or Ctrl-C) drains it."""
+    import signal
+
+    server.bind()
     try:
         # Graceful drain on SIGTERM: stop accepting, finish in-flight
         # requests, flush the recorder, exit 0 (how replay runs against
         # a recorded daemon end cleanly under process supervisors).
-        signal.signal(signal.SIGTERM, lambda _sig, _frm: daemon.shutdown())
+        signal.signal(signal.SIGTERM, lambda _sig, _frm: server.shutdown())
     except ValueError:  # pragma: no cover - non-main-thread embedding
         pass
-    # One line per endpoint, printed after bind so an ephemeral --tcp
+    # One line per endpoint, printed after bind so an ephemeral tcp
     # port (HOST:0) comes out resolved — orchestration scripts parse it.
-    for address in daemon.addresses:
-        print(f"repro serve: listening on {address}", flush=True)
+    for address in server.addresses:
+        print(f"repro {name}: listening on {address}", flush=True)
+    for note in notes:
+        print(f"repro {name}: {note}", flush=True)
     try:
-        daemon.serve_forever()
+        server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive only
-        daemon.shutdown()
+        server.shutdown()
     return 0
 
 
 def _cmd_route(args) -> int:
     """Run the fingerprint-hash router over backend nodes."""
-    import signal
-
     from repro.cluster.router import RouterDaemon
 
     auth_token = args.auth_token or os.environ.get("REPRO_AUTH_TOKEN") or None
@@ -363,19 +369,9 @@ def _cmd_route(args) -> int:
         trace_log=args.trace_log,
         trace_sample=args.trace_sample if args.trace_sample is not None else 0.0,
     )
-    router.bind()
-    try:
-        signal.signal(signal.SIGTERM, lambda _sig, _frm: router.shutdown())
-    except ValueError:  # pragma: no cover - non-main-thread embedding
-        pass
-    print(f"repro route: listening on {router.address}", flush=True)
-    for node in router.ring.nodes:
-        print(f"repro route: node {node}", flush=True)
-    try:
-        router.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        router.shutdown()
-    return 0
+    return _serve_until_drained(
+        router, "route", [f"node {node}" for node in router.ring.nodes]
+    )
 
 
 def _cmd_cache(args) -> int:

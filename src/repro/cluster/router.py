@@ -1,8 +1,9 @@
 """``repro route``: a fingerprint-hash front-end over backend nodes.
 
-The router speaks the exact same frame protocol as ``repro serve``, so
-every existing client — ``repro solve --connect``, the workload runner,
-``repro stats`` — points at it unchanged.  Per request it derives a
+:class:`RouterDaemon` is a :class:`~repro.service.server.FrameServer`
+like ``repro serve``, so every existing client — ``repro solve
+--connect``, the workload runner, ``repro stats`` — points at it
+unchanged.  What the router adds is placement: per request it derives a
 routing key, asks the :class:`~repro.cluster.hashring.HashRing` for the
 owner, and relays the frame verbatim:
 
@@ -25,19 +26,17 @@ Because solves coalesce and changes carry idempotency ids, re-sending a
 request whose node died mid-flight is safe by the same argument that
 makes client retries safe.  A background prober polls each node's
 ``health`` op (pool generation, cache degraded flags, sync cursor) and
-publishes the picture through the ``cluster_health`` op; requests
-answered locally (``ping``, ``auth``, ``stats``, ``cluster_health``)
-never touch a backend.  Streaming ``watch`` subscriptions and ``sync``
-pulls are refused with an error frame — peers replicate directly from
-nodes, not through the router.
+publishes the picture, with the router's counters, through the
+``cluster_health`` op; ``ping``, ``health`` and ``cluster_health`` are
+answered locally, ``stats`` sums every node's.  Streaming ``watch``
+subscriptions and ``sync`` pulls are refused with an error frame —
+peers replicate directly from nodes, not through the router.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import json
-import os
-import socket
 import threading
 import time
 
@@ -45,10 +44,18 @@ from repro.cnf.packed import PackedCNF
 from repro.errors import CNFError, ConnectError, ReproError, ServiceError
 from repro.obs import tracing
 from repro.obs.histogram import LatencyHistogram
+from repro.obs.metrics import MetricsRegistry
 from repro.service.address import parse_address
 from repro.service.client import AuthError, ServiceClient
-from repro.service.wire import WireError, recv_frame, send_frame
+from repro.service.server import FrameServer
+from repro.service.wire import WireError
 from repro.cluster.hashring import HashRing
+
+#: The counters ``cluster_health`` reports (zero until first counted).
+_COUNTERS = (
+    "routed", "failovers", "unrouted", "auth_rejects", "auth_failures",
+    "errors",
+)
 
 
 class _NodeState:
@@ -76,7 +83,7 @@ class _NodeState:
         }
 
 
-class RouterDaemon:
+class RouterDaemon(FrameServer):
     """Route client frames across backend nodes by consistent hashing.
 
     Args:
@@ -122,15 +129,18 @@ class RouterDaemon:
         addresses = [str(parse_address(n)) for n in nodes]
         if not addresses:
             raise ServiceError("repro route needs at least one --node")
+        super().__init__(
+            [self.listen],
+            MetricsRegistry(),
+            log_path=log_path,
+            max_frame_bytes=max_frame_bytes,
+            auth_token=auth_token,
+        )
         self.ring = HashRing(addresses)
-        self.auth_token = auth_token or None
         self.node_token = node_token if node_token is not None else auth_token
-        self.log_path = log_path
         self.health_interval = max(0.05, float(health_interval))
         self.retries = max(0, int(retries))
         self.timeout = timeout
-        self.max_frame_bytes = max_frame_bytes
-        self.tcp_port: int | None = None
         # Deliberately NOT installed process-globally: the router owns
         # its tracer (hop spans + backend-retry spans only); a co-hosted
         # node daemon's tracer must not capture router stages.
@@ -141,117 +151,33 @@ class RouterDaemon:
         # Per-node forward latency (successful relays only) — the
         # observation substrate a hedging policy would read.
         self._latency = {a: LatencyHistogram() for a in self.ring.nodes}
-        self._counters = {
-            "routed": 0,
-            "failovers": 0,
-            "unrouted": 0,
-            "auth_rejects": 0,
-            "errors": 0,
-        }
         self._lock = threading.Lock()
-        self._listener: socket.socket | None = None
-        self._stop = threading.Event()
-        self._log_lock = threading.Lock()
-        self._conn_threads: list[threading.Thread] = []
-        self._prober: threading.Thread | None = None
 
-    # ------------------------------------------------------------------
     @property
     def address(self) -> str:
         """Canonical listen address (ephemeral port resolved after bind)."""
-        if self.listen.scheme == "tcp" and self.tcp_port:
-            return f"tcp://{self.listen.host}:{self.tcp_port}"
-        return str(self.listen)
+        return self.addresses[0]
 
-    def _log(self, event: str, **fields) -> None:
-        if self.log_path is None:
-            return
-        record = {
-            "mono": round(time.monotonic(), 6),
-            "ts": round(time.time(), 3),
-            "event": event,
-        }
-        record.update(fields)
-        line = json.dumps(record, separators=(",", ":"), default=str)
-        with self._log_lock:
-            with open(self.log_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-
-    def _count(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + n
-
-    # ------------------------------------------------------------------
-    def bind(self) -> None:
-        if self._listener is not None:
-            return
-        if self.listen.scheme == "unix":
-            try:
-                os.unlink(self.listen.path)
-            except FileNotFoundError:
-                pass
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(self.listen.path)
-        else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind(self.listen.connect_target)
-            self.tcp_port = listener.getsockname()[1]
-        listener.listen(16)
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._log("listening", address=self.address, nodes=list(self.ring.nodes))
-
-    def serve_forever(self) -> None:
-        self.bind()
-        self._prober = threading.Thread(target=self._probe_loop, daemon=True)
-        self._prober.start()
+    @contextlib.contextmanager
+    def _running(self):
+        prober = threading.Thread(target=self._probe_loop, daemon=True)
+        prober.start()
         try:
-            while not self._stop.is_set():
-                try:
-                    conn, _ = self._listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                thread = threading.Thread(
-                    target=self._serve_connection, args=(conn,), daemon=True
-                )
-                thread.start()
-                self._conn_threads = [
-                    t for t in self._conn_threads if t.is_alive()
-                ]
-                self._conn_threads.append(thread)
+            yield
         finally:
-            self._close_listener()
-            for thread in self._conn_threads:
-                thread.join(timeout=10.0)
-            if self._prober is not None:
-                self._prober.join(timeout=5.0)
-            self._log("stopped")
+            prober.join(timeout=5.0)
 
-    def start(self) -> threading.Thread:
-        """Run :meth:`serve_forever` on a background thread (tests)."""
-        self.bind()
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
-
-    def shutdown(self) -> None:
-        self._stop.set()
-
-    def _close_listener(self) -> None:
-        listener, self._listener = self._listener, None
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:  # pragma: no cover
-                pass
-        if self.listen.scheme == "unix":
-            try:
-                os.unlink(self.listen.path)
-            except OSError:
-                pass
+    @contextlib.contextmanager
+    def _connection(self):
+        # Backend connections are per client connection: a session's
+        # frames arrive in order on one socket, so relaying them through
+        # one client preserves that order on the backend's socket too.
+        clients: dict[str, ServiceClient] = {}
+        try:
+            yield clients
+        finally:
+            for client in clients.values():
+                client.close()
 
     # ------------------------------------------------------------------
     def _probe_loop(self) -> None:
@@ -292,13 +218,7 @@ class RouterDaemon:
             if was_alive is False:
                 self._log("node_up", node=node)
         except (ReproError, OSError, WireError) as exc:
-            with self._lock:
-                was_alive = state.alive
-                state.alive = False
-                state.last_error = str(exc)
-                state.checked_at = time.monotonic()
-            if was_alive is not False:
-                self._log("node_down", node=node, error=str(exc))
+            self._mark_down(node, exc)
         finally:
             if client is not None:
                 client.close()
@@ -307,7 +227,12 @@ class RouterDaemon:
         with self._lock:
             return {a for a, s in self._nodes.items() if s.alive is False}
 
-    def _mark_down(self, node: str, exc: Exception) -> None:
+    def _mark_down(self, node: str, exc: Exception, clients=None) -> None:
+        """Record *node* as down (logged on the transition) and close
+        the calling connection's client to it, if any."""
+        stale = clients.pop(node, None) if clients is not None else None
+        if stale is not None:
+            stale.close()
         state = self._nodes[node]
         with self._lock:
             was_alive = state.alive
@@ -316,106 +241,6 @@ class RouterDaemon:
             state.checked_at = time.monotonic()
         if was_alive is not False:
             self._log("node_down", node=node, error=str(exc))
-
-    # ------------------------------------------------------------------
-    def _serve_connection(self, conn: socket.socket) -> None:
-        conn.settimeout(0.25)
-        if conn.family == socket.AF_INET:
-            try:
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:  # pragma: no cover
-                pass
-        # Backend connections are per client connection: a session's
-        # frames arrive in order on one socket, so relaying them through
-        # one client preserves that order on the backend's socket too.
-        clients: dict[str, ServiceClient] = {}
-        try:
-            self._serve_frames(conn, clients)
-        finally:
-            for client in clients.values():
-                client.close()
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
-
-    def _serve_frames(
-        self, conn: socket.socket, clients: dict[str, ServiceClient]
-    ) -> None:
-        authed = self.auth_token is None
-        while not self._stop.is_set():
-            try:
-                frame = recv_frame(conn, self.max_frame_bytes)
-            except socket.timeout:
-                continue
-            except ConnectionError:
-                return
-            except WireError as exc:
-                self._count("errors")
-                self._log("wire_error", error=str(exc))
-                self._try_send(conn, {"ok": False, "error": str(exc)})
-                return
-            if frame is None:
-                return
-            header, payload = frame
-            op = header.get("op", "")
-            if op == "auth":
-                if self.auth_token is None or authed:
-                    if not self._try_send(conn, {"ok": True, "authed": True}):
-                        return
-                    authed = True
-                    continue
-                if header.get("token") == self.auth_token:
-                    authed = True
-                    if not self._try_send(conn, {"ok": True, "authed": True}):
-                        return
-                    continue
-                self._count("errors")
-                self._log("auth_fail")
-                self._try_send(
-                    conn,
-                    {"ok": False, "error": "auth failed: bad token", "code": 401},
-                )
-                return
-            if not authed:
-                self._count("errors")
-                self._log("auth_required", op=op)
-                self._try_send(
-                    conn,
-                    {
-                        "ok": False,
-                        "error": "auth required: open with an auth frame",
-                        "code": 401,
-                    },
-                )
-                return
-            t0 = time.perf_counter()
-            try:
-                response, stop_after = self._dispatch(op, header, payload, clients)
-            except ReproError as exc:
-                response, stop_after = {"ok": False, "error": str(exc)}, False
-            except Exception as exc:  # a bug must not kill the router
-                self._count("errors")
-                response, stop_after = (
-                    {"ok": False, "error": f"internal error: {exc!r}"},
-                    False,
-                )
-            ctx = tracing.ctx_from_wire(header.get("trace"))
-            self._log(
-                "op",
-                op=op,
-                ok=bool(response.get("ok")),
-                session=header.get("session"),
-                wall=round(time.perf_counter() - t0, 6),
-                error=response.get("error"),
-                trace=ctx.trace_id if ctx is not None else None,
-            )
-            if not self._try_send(conn, response):
-                return
-            if stop_after:
-                self.shutdown()
-                return
 
     # ------------------------------------------------------------------
     def _dispatch(
@@ -447,12 +272,11 @@ class RouterDaemon:
         """A daemon-shaped health frame so generic probes keep working."""
         with self._lock:
             alive = [a for a, s in self._nodes.items() if s.alive]
-            errors = self._counters["errors"]
         return {
             "router": True,
             "nodes_alive": len(alive),
             "nodes_total": len(self.ring.nodes),
-            "errors": errors,
+            "errors": self.metrics.counter("errors"),
         }
 
     def cluster_health(self) -> dict:
@@ -467,7 +291,7 @@ class RouterDaemon:
                 snap = s.snapshot()
                 snap["latency"] = self._latency[a].summary()
                 nodes[a] = snap
-            counters = dict(self._counters)
+        counters = {name: self.metrics.counter(name) for name in _COUNTERS}
         counters["listen"] = self.address
         counters["health_interval"] = self.health_interval
         return {"router": counters, "nodes": nodes}
@@ -547,38 +371,30 @@ class RouterDaemon:
                 client = self._node_client(node, clients)
                 n0 = time.monotonic()
                 response = client.forward(header, payload)
-            except AuthError as exc:
-                # The node refused our token — a clean 401, not a dead
-                # peer.  Count it, drop the node from this request, and
-                # let the ring try the next one.
-                self._count("auth_rejects")
-                self._mark_down(node, exc)
-                clients.pop(node, None)
-                last = exc
-                continue
             except (ConnectError, OSError, WireError) as exc:
                 # ConnectError covers the prober-race window: the node
                 # died moments ago, nothing has marked it down yet, and
                 # the eager-connecting client constructor is the first
-                # to find out.  The ring's next choice absorbs it.
-                self._mark_down(node, exc)
-                stale = clients.pop(node, None)
-                if stale is not None:
-                    stale.close()
+                # to find out.  Its AuthError subclass is the node
+                # refusing our token — a clean 401, counted apart.  The
+                # ring's next choice absorbs either.
+                if isinstance(exc, AuthError):
+                    self.metrics.inc("auth_rejects")
+                self._mark_down(node, exc, clients)
                 last = exc
                 continue
             with self._lock:
                 hist = self._latency.get(node)
                 if hist is not None:
                     hist.record(time.monotonic() - n0)
-            self._count("routed")
+            self.metrics.inc("routed")
             if index:
-                self._count("failovers")
+                self.metrics.inc("failovers")
                 self._log("failover", key=key[:64], node=node, tried=index)
             if span is not None:
                 self._tracer.finish(span, node=node, tried=index + 1)
             return response
-        self._count("unrouted")
+        self.metrics.inc("unrouted")
         if span is not None:
             self._tracer.finish(span, error=str(last), tried=len(order))
         return {
@@ -599,10 +415,7 @@ class RouterDaemon:
                 client = self._node_client(node, clients)
                 stats = client.stats()
             except (ReproError, OSError, WireError) as exc:
-                self._mark_down(node, exc)
-                stale = clients.pop(node, None)
-                if stale is not None:
-                    stale.close()
+                self._mark_down(node, exc, clients)
                 last = exc
                 continue
             reached.append(node)
@@ -622,14 +435,6 @@ class RouterDaemon:
             "node_latency": node_latency,
         }
         return {"ok": True, "stats": merged}
-
-    @staticmethod
-    def _try_send(conn: socket.socket, header: dict) -> bool:
-        try:
-            send_frame(conn, header)
-            return True
-        except OSError:
-            return False
 
 
 def _merge_stats(a, b):

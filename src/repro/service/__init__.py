@@ -15,9 +15,10 @@
 * :mod:`repro.service.address`  -- :func:`parse_address`, the one
   grammar behind every ``--connect``/``--peer``/``--node`` flag
   (``unix://PATH``, ``tcp://HOST:PORT``, or a bare socket path);
+* :mod:`repro.service.server`   -- the one frame server (listeners,
+  auth, op log, drain) behind ``repro serve`` and ``repro route``;
 * :mod:`repro.service.daemon`   -- :class:`ServiceDaemon`, the ``repro
-  serve`` loop over Unix and/or TCP sockets, with optional token auth
-  and anti-entropy cache sync;
+  serve`` ops over the frame server, with anti-entropy cache sync;
 * :mod:`repro.service.client`   -- :class:`ServiceClient`, the thin
   connection used by ``repro solve --connect``.
 """

@@ -1,18 +1,15 @@
-"""``repro serve``: the :class:`SolverService` behind a local socket.
+"""``repro serve``: the :class:`SolverService` behind a frame server.
 
 The paper's EC loop — enable once, then absorb a stream of changes with
 cheap re-solves — is a long-lived service, not a batch tool: the value
 of the verdict cache, the warm process pool, and the per-session state
 compounds across requests.  :class:`ServiceDaemon` keeps one
-:class:`~repro.service.service.SolverService` alive behind a Unix domain
-socket speaking the length-prefixed JSON + packed-bytes frames of
-:mod:`repro.service.wire`, so any number of short-lived clients (``repro
-solve --connect``, :class:`~repro.service.client.ServiceClient`, or a
-foreign-language peer implementing the trivial frame format) share one
-pool and one cache.
-
-Protocol ops (one request frame -> one response frame per op, many ops
-per connection):
+:class:`~repro.service.service.SolverService` alive behind a
+:class:`~repro.service.server.FrameServer`, so any number of short-lived
+clients (``repro solve --connect``,
+:class:`~repro.service.client.ServiceClient`, or a foreign-language peer
+implementing the trivial frame format) share one pool and one cache.
+What the daemon adds to the frame server is its ops:
 
 ``ping``
     liveness check; answers ``{"ok": true, "pong": true}``.
@@ -21,19 +18,14 @@ per connection):
     cache degraded/error flags, drain state, and the live fault-plan
     counters when chaos is installed (``repro stats`` surfaces it).
     Exempt from the ``max_requests`` budget, like ``ping``.
-``auth``
-    per-connection token handshake.  A daemon started with
-    ``--auth-token`` (or ``$REPRO_AUTH_TOKEN``) answers every frame
-    before a valid handshake with a 401-style error and closes the
-    connection; a token-less daemon acks the handshake as a no-op so
-    one client config works against open and guarded nodes alike.
 ``sync``
     pull-based anti-entropy page: cache entries past a sequence
     ``cursor`` from the disk cache's append-only journal, answered as
     ``{"cursor", "entries", "more"}``.  Entries are content-addressed
     by fp-v2, so peers merge pages blindly and idempotently
     (:mod:`repro.cluster.sync` drives the loop).  Budget-exempt like
-    ``ping``/``health``.
+    ``ping``/``health``; the ``sync.drop`` fault point drops the
+    connection before the page is sent.
 ``solve``
     a :class:`~repro.service.requests.SolveRequest` (instance in the
     binary payload as packed wire bytes, or a server-side DIMACS path in
@@ -62,65 +54,43 @@ per connection):
     ``count`` frames were sent, the client disconnects, or the daemon
     drains — the push-stream behind ``repro stats --watch``.
 ``shutdown``
-    acknowledge, then stop the accept loop and close the service.
+    acknowledge, then drain.
 
-The daemon also runs a :class:`~repro.obs.metrics.StatsMonitor`: one
-sample per second into an rrd-style ring buffer, so a one-shot
-``stats_frame`` right after a load burst still reports the burst's
-request rate rather than the idle instant's zero.  The forensics log
-(``log_path``) is structured: one JSON record per event with a
-monotonic timestamp, op, session, fingerprint prefix, latency, and
-outcome — parseable by tools, not just eyeballs.
+While serving, the daemon runs a :class:`~repro.obs.metrics.StatsMonitor`
+(one sample per second into a ring buffer, so a ``stats_frame`` right
+after a load burst still reports the burst's rate) and the optional
+anti-entropy syncer.  Its drain — from the ``shutdown`` op, SIGTERM or
+the ``max_requests`` budget — ends by closing the service, which drains
+queued ``submit()`` work and flushes any attached trace recorder.
 
-Shutdown is always a **graceful drain**: whether triggered by the
-``shutdown`` op, :meth:`ServiceDaemon.shutdown` (the CLI wires SIGTERM
-to it), or the ``max_requests`` budget, the accept loop stops, every
-in-flight request finishes and its response is sent, the service is
-closed (which drains queued ``submit()`` work and flushes any attached
-trace recorder), and only then does ``serve_forever`` return — so a
-recorded replay run always ends on a complete trace.
-
-Errors are frames too — ``{"ok": false, "error": "..."}`` — a malformed
-request must never take the daemon down.  Pair it with the persistent
-disk cache backend (``repro serve --cache disk``) and verdicts survive
-daemon restarts: the second daemon over the same cache directory answers
-a repeated instance without any solver (the cross-process cache hit the
-round-trip test asserts).
+Pair it with the persistent disk cache backend (``repro serve --cache
+disk``) and verdicts survive daemon restarts: the second daemon over the
+same cache directory answers a repeated instance without any solver (the
+cross-process cache hit the round-trip test asserts).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import select
+import contextlib
 import socket
 import threading
-import time
 
 from repro import faults
-from repro.errors import ReproError, ServiceError
+from repro.errors import ServiceError
 from repro.obs import tracing
 from repro.obs.metrics import FrameTracker, StatsMonitor
-from repro.service.address import Address, parse_address, parse_tcp
+from repro.service.address import Address, parse_tcp
+from repro.service.server import FrameServer
 from repro.service.service import SolverService
 from repro.service.wire import (
-    WireError,
     batch_request_from_wire,
     change_request_from_wire,
-    recv_frame,
     response_to_wire,
-    send_frame,
-    send_truncated_frame,
     solve_request_from_wire,
 )
 
-#: Ops worth starting a *new* trace for when the daemon itself samples
-#: (``--trace-sample`` on an un-traced incoming request).  Requests that
-#: already carry a context are continued regardless of op.
-_TRACED_OPS = ("solve", "change", "solve_many")
 
-
-class ServiceDaemon:
+class ServiceDaemon(FrameServer):
     """Serve one :class:`SolverService` over Unix and/or TCP sockets.
 
     Args:
@@ -128,34 +98,28 @@ class ServiceDaemon:
             ``None`` for a TCP-only daemon.
         service: the service to expose (a default one when omitted; the
             daemon closes whatever it serves on shutdown).
-        log_path: append one line per handled op here (daemon forensics;
+        log_path: the structured op log (``repro serve --log-file``;
             uploaded as a CI artifact when the service lane fails).
         max_requests: stop accepting and drain after this many handled
             non-ping ops (``repro serve --max-requests``) — how replay
             and load runs get a deterministic, clean daemon exit.
-        max_frame_bytes: per-daemon cap on incoming header/payload sizes
-            (``repro serve --max-frame-bytes``); defaults to the wire
-            module's global cap.  An over-cap frame is logged with its
-            offending declared length before the connection closes.
+        max_frame_bytes: cap on incoming header/payload sizes (``repro
+            serve --max-frame-bytes``).
         tcp_address: additionally listen on ``HOST:PORT`` (``repro serve
             --tcp``) — the same frame protocol, reachable across boxes.
             Port 0 binds an ephemeral port; :attr:`tcp_port` reports it
-            after :meth:`bind`.
-        auth_token: when set, every connection must open with a valid
-            ``auth`` frame before its first real op; anything else is
-            answered with a 401-style error frame and a closed
-            connection.  TCP listeners without a token are fine on a
-            trusted network but get a logged warning.
+            after :meth:`bind`.  TCP listeners without a token are fine
+            on a trusted network but get a logged warning.
+        auth_token: token every connection must present first
+            (``repro serve --auth-token``).
         syncer: an optional anti-entropy puller (:class:`~repro.cluster.
             sync.CacheSyncer`); the daemon owns its lifecycle, running
             it for exactly the span of :meth:`serve_forever`.
         tracer: a :class:`~repro.obs.tracing.Tracer` (``repro serve
             --trace-log`` / ``--trace-sample``).  Installed process-
             globally so the engine/portfolio stage spans of requests
-            dispatched here land in the same ring/log; each traced op
-            gets a ``daemon.<op>`` span re-parenting downstream work,
-            and its trace/span ids are folded into the structured
-            ``op`` log records.  ``None`` disables all of it.
+            dispatched here land in the same ring/log under each op's
+            ``daemon.<op>`` span.  ``None`` disables all of it.
     """
 
     def __init__(
@@ -187,21 +151,27 @@ class ServiceDaemon:
         self.tcp_address: Address | None = (
             parse_tcp(tcp_address) if tcp_address is not None else None
         )
-        #: Actual bound TCP port (meaningful after :meth:`bind`; with a
-        #: ``HOST:0`` request this is the kernel-assigned one).
-        self.tcp_port: int | None = None
-        self.auth_token = auth_token or None
         self.syncer = syncer
-        self.tracer = tracer
         if tracer is not None:
             # Process-global (the faults idiom): engine and portfolio
             # stage spans find the tracer through tracing.get_tracer(),
             # not through a parameter threaded ten layers deep.
             tracing.install(tracer)
         self.service = service if service is not None else SolverService()
-        self.log_path = log_path
+        endpoints = []
+        if self.socket_path is not None:
+            endpoints.append(Address(scheme="unix", path=self.socket_path))
+        if self.tcp_address is not None:
+            endpoints.append(self.tcp_address)
+        super().__init__(
+            endpoints,
+            self.service.metrics,
+            log_path=log_path,
+            max_frame_bytes=max_frame_bytes,
+            auth_token=auth_token,
+            tracer=tracer,
+        )
         self.max_requests = max_requests
-        self.max_frame_bytes = max_frame_bytes
         #: Per-second sampler over the service's metrics registry; its
         #: thread runs for exactly the lifetime of :meth:`serve_forever`.
         self.monitor = StatsMonitor(
@@ -209,386 +179,54 @@ class ServiceDaemon:
         )
         self._handled = 0
         self._handled_lock = threading.Lock()
-        self._listeners: list[socket.socket] = []
-        self._stop = threading.Event()
-        self._log_lock = threading.Lock()
-        self._conn_threads: list[threading.Thread] = []
 
-    @property
-    def addresses(self) -> list[str]:
-        """Canonical strings for every bound endpoint (after bind)."""
-        out = []
-        if self.socket_path is not None:
-            out.append(str(Address(scheme="unix", path=self.socket_path)))
-        if self.tcp_address is not None:
-            port = self.tcp_port if self.tcp_port else self.tcp_address.port
-            out.append(
-                str(Address(scheme="tcp", host=self.tcp_address.host, port=port))
-            )
-        return out
-
-    # ------------------------------------------------------------------
-    def _log(self, event: str, **fields) -> None:
-        """Append one structured JSON record to the forensics log.
-
-        Every record carries ``mono`` (monotonic seconds — orderable
-        across system clock steps), ``ts`` (wall clock, for humans
-        correlating with the outside world), and ``event``; op records
-        add op/session/fingerprint-prefix/latency/outcome fields.
-        """
-        if self.log_path is None:
-            return
-        record = {
-            "mono": round(time.monotonic(), 6),
-            "ts": round(time.time(), 3),
-            "event": event,
-        }
-        record.update(fields)
-        line = json.dumps(record, separators=(",", ":"), default=str)
-        with self._log_lock:
-            with open(self.log_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-
-    # ------------------------------------------------------------------
-    def bind(self) -> None:
-        """Bind and listen on every endpoint (separate from
-        :meth:`serve_forever` so tests and the CLI can report readiness
-        — including an ephemeral TCP port — before blocking)."""
-        if self._listeners:
-            return
-        listeners: list[socket.socket] = []
-        try:
-            if self.socket_path is not None:
-                try:
-                    os.unlink(self.socket_path)
-                except FileNotFoundError:
-                    pass
-                listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                listener.bind(self.socket_path)
-                listeners.append(listener)
-            if self.tcp_address is not None:
-                listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                listener.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
-                )
-                listener.bind(self.tcp_address.connect_target)
-                self.tcp_port = listener.getsockname()[1]
-                listeners.append(listener)
-                if self.auth_token is None:
-                    self._log("tcp_unauthenticated", tcp=self.addresses[-1])
-            for listener in listeners:
-                listener.listen(16)
-                # A short accept timeout keeps the loop responsive to
-                # shutdown() from another thread without busy-waiting.
-                listener.settimeout(0.2)
-        except OSError:
-            for listener in listeners:
-                listener.close()
-            raise
-        self._listeners = listeners
-        self._log("listening", addresses=self.addresses)
-
-    def serve_forever(self) -> None:
-        """Accept-and-dispatch until :meth:`shutdown` (or a ``shutdown``
-        op) fires; then drain connections and close the service."""
-        self.bind()
+    @contextlib.contextmanager
+    def _running(self):
         self.monitor.start()
         if self.syncer is not None:
             self.syncer.start()
         try:
-            while not self._stop.is_set():
-                try:
-                    ready, _, _ = select.select(self._listeners, [], [], 0.2)
-                except OSError:
-                    break
-                for listener in ready:
-                    try:
-                        conn, _ = listener.accept()
-                    except (socket.timeout, OSError):
-                        continue
-                    thread = threading.Thread(
-                        target=self._serve_connection, args=(conn,), daemon=True
-                    )
-                    thread.start()
-                    # Keep only live handlers so a long-lived daemon's
-                    # thread list stays bounded by its concurrent-
-                    # connection count.
-                    self._conn_threads = [
-                        t for t in self._conn_threads if t.is_alive()
-                    ]
-                    self._conn_threads.append(thread)
+            yield
         finally:
-            self._close_listener()
-            live = [t for t in self._conn_threads if t.is_alive()]
-            if live:
-                self._log("draining", connections=len(live))
-            for thread in self._conn_threads:
-                thread.join(timeout=10.0)
             if self.syncer is not None:
                 self.syncer.stop()
             self.monitor.stop()
             # Closing the service drains queued submit() work and
             # flushes/closes any attached trace recorder.
             self.service.close()
-            self._log("stopped")
 
-    def start(self) -> threading.Thread:
-        """Run :meth:`serve_forever` on a background thread (tests)."""
-        self.bind()
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
-
-    def shutdown(self) -> None:
-        """Stop the accept loop (idempotent; safe from any thread)."""
-        self._stop.set()
-
-    def _close_listener(self) -> None:
-        listeners, self._listeners = self._listeners, []
-        for listener in listeners:
-            try:
-                listener.close()
-            except OSError:  # pragma: no cover - close never really fails
-                pass
-        if self.socket_path is not None:
-            try:
-                os.unlink(self.socket_path)
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------------
-    def _serve_connection(self, conn: socket.socket) -> None:
-        # A short receive timeout keeps an *idle* connection's handler
-        # responsive to shutdown(): without it a client holding the
-        # socket open without sending would pin this thread in recv and
-        # stall the graceful drain by the full join timeout.  In-flight
-        # requests are unaffected — dispatch is never interrupted, and a
-        # local peer's frame chunks arrive faster than the timeout.
-        conn.settimeout(0.25)
-        if conn.family == socket.AF_INET:
-            try:
-                # One small frame out, one frame back: the pattern
-                # Nagle coalescing penalises — disable it.
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:  # pragma: no cover - always settable on tcp
-                pass
-        try:
-            self._serve_frames(conn)
-        finally:
-            # shutdown() before close(): forked pool workers inherit a
-            # dup of every connection fd open at fork time, so a plain
-            # close() here does NOT deliver EOF to the peer while any
-            # worker lives — the client would stall out its full socket
-            # timeout on every connection the daemon drops (error
-            # frames, chaos drops, drain).  Tearing the connection down
-            # explicitly signals the peer regardless of dup'd fds.
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
-
-    def _serve_frames(self, conn: socket.socket) -> None:
-        # Auth is per-connection state: with a token configured, nothing
-        # dispatches until this connection presented it.
-        authed = self.auth_token is None
-        while not self._stop.is_set():
-            try:
-                frame = recv_frame(conn, self.max_frame_bytes)
-            except socket.timeout:
-                continue
-            except ConnectionError:
-                # A hard peer disconnect (RST) between frames is the
-                # moral equivalent of a clean close, not a daemon
-                # error — drop the connection and keep serving.
-                return
-            except WireError as exc:
-                # Structured record: the offending declared length
-                # and the op being read (when the header got that
-                # far) make a corrupt-peer forensics trail.
-                self._log(
-                    "wire_error",
-                    error=str(exc),
-                    length=exc.length,
-                    op=exc.op,
-                )
-                self.service.metrics.inc("errors")
-                self._try_send(conn, {"ok": False, "error": str(exc)})
-                return
-            if frame is None:
-                return
-            header, payload = frame
-            op = header.get("op", "")
-            # Incoming trace context (absent/garbage parses to None —
-            # old clients' frames are untouched by tracing).
-            ctx = tracing.ctx_from_wire(header.get("trace"))
-            # Wire-level chaos (no-ops without an installed plan).
-            # Drop fires BEFORE dispatch — the request never executed,
-            # so any op is safe to retry; slow just stalls the peer.
-            if faults.fire("wire.drop") is not None:
-                self._log(
-                    "chaos",
-                    point="wire.drop",
-                    op=op,
-                    trace=ctx.trace_id if ctx is not None else None,
-                )
-                return
-            slow = faults.fire("wire.slow")
-            if slow is not None:
-                self._log("chaos", point="wire.slow", op=op)
-                time.sleep(slow.delay or 0.05)
-            if op == "auth":
-                authed = self._handle_auth(conn, header, authed)
-                if authed is None:
-                    return
-                continue
-            if not authed:
-                # Everything before a valid handshake is rejected with a
-                # 401-style frame and a closed connection — the guard
-                # that makes a TCP listener safe to expose.
-                self.service.metrics.inc("auth_failures")
-                self._log("auth_required", op=op)
-                self._try_send(
-                    conn,
-                    {
-                        "ok": False,
-                        "error": "auth required: open with an auth frame "
-                        "(repro --connect picks the token up from "
-                        "$REPRO_AUTH_TOKEN)",
-                        "code": 401,
-                    },
-                )
-                return
-            if op == "sync" and faults.fire("sync.drop") is not None:
-                # Chaos: kill the connection mid-sync, response unsent.
-                # Safe by design — sync is a read-only page pull and the
-                # merge of a re-pulled page is idempotent.
-                self._log("chaos", point="sync.drop")
-                return
-            if op in ("watch", "subscribe"):
-                # Streaming op: one request frame, many pushed
-                # response frames on this connection (its own path —
-                # _dispatch is strictly one-request-one-response).
-                if not self._serve_watch(conn, header):
-                    return
-                if self._budget_spent():
-                    self._log("drain_budget", max_requests=self.max_requests)
-                    self.shutdown()
-                    return
-                continue
-            # One daemon.<op> span per traced op: a child of the
-            # incoming context (client root or router hop), or a fresh
-            # root when this daemon's own sampling knob fires on an
-            # untraced request.  Its context is activated around
-            # dispatch so every engine/portfolio stage parents on it —
-            # dispatch runs synchronously on this handler thread.
-            span = None
-            if self.tracer is not None:
-                if ctx is not None:
-                    span = self.tracer.begin(f"daemon.{op}", ctx)
-                elif op in _TRACED_OPS and self.tracer.maybe_trace():
-                    span = self.tracer.begin(f"daemon.{op}")
-                if span is not None:
-                    ctx = span.context
-            t0 = time.perf_counter()
-            try:
-                with tracing.activated(
-                    span.context if span is not None else None
-                ):
-                    response, stop_after = self._dispatch(op, header, payload)
-            except ReproError as exc:
-                response, stop_after = {"ok": False, "error": str(exc)}, False
-            except Exception as exc:  # a bug must not kill the daemon
-                response, stop_after = (
-                    {"ok": False, "error": f"internal error: {exc!r}"},
-                    False,
-                )
-            wall = time.perf_counter() - t0
-            if span is not None:
-                self.tracer.finish(
-                    span,
-                    ok=bool(response.get("ok")),
-                    status=response.get("status"),
-                    source=response.get("source"),
-                    session=header.get("session"),
-                    error=response.get("error"),
-                )
-            # No blanket errors bump here: the service counts its own
-            # failed solve/change/solve_many requests (in a finally),
-            # and _dispatch counts the failures that never reach the
-            # service — a blanket inc would double-count every one.
-            fp = response.get("fingerprint") or ""
-            self._log(
-                "op",
-                op=op,
-                ok=bool(response.get("ok")),
-                status=response.get("status"),
-                source=response.get("source"),
-                session=header.get("session"),
-                fp=fp[:12] or None,
-                wall=round(wall, 6),
-                error=response.get("error"),
-                trace=ctx.trace_id if ctx is not None else None,
-                span=span.span_id if span is not None else None,
-            )
-            if faults.fire("wire.truncate") is not None:
-                # Fires AFTER dispatch: the request executed but the
-                # client never sees the response — the shape a daemon
-                # crash mid-send produces.  Retry-safe because solves
-                # coalesce and changes carry idempotency ids.
-                self._log("chaos", point="wire.truncate", op=op)
-                try:
-                    send_truncated_frame(conn)
-                except OSError:
-                    pass
-                return
-            if not self._try_send(conn, response):
-                return
-            if stop_after:
-                self.shutdown()
-                return
-            if op not in ("ping", "health", "sync") and self._budget_spent():
-                self._log("drain_budget", max_requests=self.max_requests)
-                self.shutdown()
-                return
-
-    def _handle_auth(
-        self, conn: socket.socket, header: dict, authed: bool
-    ) -> bool | None:
-        """Answer one ``auth`` frame.
-
-        Returns the connection's new authed state, or ``None`` when the
-        connection must close (bad token, chaos rejection, dead peer).
-        Against a token-less daemon the handshake is a cheap no-op ack,
-        so one client config works across open and guarded nodes.
-        """
-        if self.auth_token is None or authed:
-            if not self._try_send(conn, {"ok": True, "authed": True}):
-                return None
-            return authed or True
-        if header.get("token") != self.auth_token:
-            self.service.metrics.inc("auth_failures")
-            self._log("auth_fail")
-            self._try_send(
-                conn,
-                {"ok": False, "error": "auth failed: bad token", "code": 401},
-            )
+    def _serve_stream(self, conn: socket.socket, op: str, header: dict):
+        if op == "sync" and faults.fire("sync.drop") is not None:
+            # Chaos: kill the connection mid-sync, response unsent.
+            # Safe by design — sync is a read-only page pull and the
+            # merge of a re-pulled page is idempotent.
+            self._log("chaos", point="sync.drop")
+            return False
+        if op not in ("watch", "subscribe"):
             return None
-        if faults.fire("auth.reject") is not None:
-            # Chaos: bounce a *valid* token once — the shape of a node
-            # restarting mid-handshake.  Clients absorb it inside their
-            # connect budget; the router counts it and fails over.
-            self.service.metrics.inc("auth_rejects")
-            self._log("chaos", point="auth.reject")
-            self._try_send(
-                conn,
-                {"ok": False, "error": "auth rejected (chaos)", "code": 401},
-            )
-            return None
-        self._log("auth_ok")
-        if not self._try_send(conn, {"ok": True, "authed": True}):
-            return None
+        # Streaming op: one request frame, many pushed response frames
+        # on this connection (_dispatch is one-request-one-response).
+        if not self._serve_watch(conn, header):
+            return False
+        if self._budget_spent(op):
+            self.shutdown()
+            return False
         return True
+
+    def _budget_spent(self, op: str) -> bool:
+        """Count one handled op; True once ``max_requests`` is reached.
+
+        ``ping``, ``health`` and ``sync`` are exempt: probes and
+        background replication must not drain a quota'd daemon.
+        """
+        if self.max_requests is None or op in ("ping", "health", "sync"):
+            return False
+        with self._handled_lock:
+            self._handled += 1
+            spent = self._handled >= self.max_requests
+        if spent:
+            self._log("drain_budget", max_requests=self.max_requests)
+        return spent
 
     def _parse(self, build):
         """Build a request record, counting parse failures as errors.
@@ -604,21 +242,18 @@ class ServiceDaemon:
             raise
 
     def _dispatch(
-        self, op: str, header: dict, payload: bytes
+        self, op: str, header: dict, payload: bytes, state=None
     ) -> tuple[dict, bool]:
-        """(response header, stop-after) for one op."""
+        """(response header, stop-after) for one op (daemon ops keep no
+        per-connection *state*)."""
         if op == "ping":
             return {"ok": True, "pong": True}, False
         if op == "health":
-            # Exempt from the max_requests budget (like ping): probes
-            # from orchestration must not drain a quota'd daemon.
             health = self.service.health()
             if self.syncer is not None:
                 health["sync"] = self.syncer.status()
             return {"ok": True, "health": health}, False
         if op == "sync":
-            # Also budget-exempt: background replication pulls must not
-            # drain a quota'd daemon.
             return self._dispatch_sync(header), False
         if op == "solve":
             request = self._parse(
@@ -691,8 +326,7 @@ class ServiceDaemon:
         Returns whether the connection is still usable for further ops.
         A subscriber that vanished mid-stream only costs this handler
         thread its send; the accept loop and the graceful drain path
-        never block on it — the loop re-checks ``_stop`` every tick and
-        caps the tick at one second of drain latency.
+        never block on it — a drain wakes the tick wait at once.
         """
         try:
             interval = float(header.get("interval") or 1.0)
@@ -718,18 +352,7 @@ class ServiceDaemon:
         tracker = FrameTracker(self.service.metrics, t0=self.monitor.t0)
         sent = 0
         while count is None or sent < count:
-            # Wake at least once a second so a drain is never stuck
-            # behind a long subscriber interval.
-            deadline = time.monotonic() + interval
-            stopped = False
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                if self._stop.wait(min(remaining, 1.0)):
-                    stopped = True
-                    break
-            if stopped:
+            if self._stop.wait(interval):
                 break
             if not self._try_send(conn, {"ok": True, "frame": tracker.frame()}):
                 self._log("watch_disconnect", frames=sent)
@@ -737,19 +360,3 @@ class ServiceDaemon:
             sent += 1
         self._log("watch_done", frames=sent)
         return self._try_send(conn, {"ok": True, "done": True, "frames": sent})
-
-    def _budget_spent(self) -> bool:
-        """Count one handled op; True once ``max_requests`` is reached."""
-        if self.max_requests is None:
-            return False
-        with self._handled_lock:
-            self._handled += 1
-            return self._handled >= self.max_requests
-
-    @staticmethod
-    def _try_send(conn: socket.socket, header: dict) -> bool:
-        try:
-            send_frame(conn, header)
-            return True
-        except OSError:
-            return False

@@ -1,5 +1,6 @@
 """``repro route``: consistent-hash spread, session pinning, failover,
-router auth, stream refusal, stats aggregation, and cluster health."""
+stream refusal, stats aggregation, and cluster health.  Router auth runs
+in ``test_tcp_auth.py``, the same tests as the daemon's."""
 
 import pytest
 
@@ -8,7 +9,7 @@ from repro.core.change import AddClause, ChangeSet
 from repro.cnf.clause import Clause
 from repro.engine.config import EngineConfig
 from repro.errors import ServiceError
-from repro.service.client import AuthError, ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.daemon import ServiceDaemon
 from repro.service.requests import ChangeRequest, SolveRequest
 from repro.service.service import SolverService
@@ -47,7 +48,7 @@ class TestHashRing:
 class _Cluster:
     """Two daemons plus a router, all on Unix sockets (fast to boot)."""
 
-    def __init__(self, tmp_path, *, auth_token=None, health_interval=0.2):
+    def __init__(self, tmp_path, *, health_interval=0.2):
         self.daemons = []
         self.threads = []
         for name in ("a", "b"):
@@ -58,14 +59,12 @@ class _Cluster:
                     jobs=1, cache="disk", cache_dir=str(cache_dir),
                 )),
                 log_path=str(tmp_path / f"{name}.log"),
-                auth_token=auth_token,
             )
             self.daemons.append(d)
             self.threads.append(d.start())
         self.router = RouterDaemon(
             str(tmp_path / "router.sock"),
             [d.socket_path for d in self.daemons],
-            auth_token=auth_token,
             log_path=str(tmp_path / "router.log"),
             health_interval=health_interval,
             retries=1,
@@ -225,36 +224,6 @@ class TestFailover:
         assert nodes[up]["sync_cursor"] is not None
 
 
-class TestRouterAuth:
-    def test_router_enforces_its_own_token(self, tmp_path):
-        c = _Cluster(tmp_path, auth_token="s3cret")
-        try:
-            with pytest.raises(AuthError):
-                ServiceClient(
-                    c.router.address, retries=0, auth_token="wrong"
-                )
-            with ServiceClient(
-                c.router.address, auth_token="s3cret"
-            ) as client:
-                assert client.ping()
-                f, _ = random_planted_ksat(10, 30, rng=3)
-                # The router presents the shared token to the node too.
-                assert client.solve(
-                    SolveRequest(formula=f, seed=0)
-                ).status == "sat"
-        finally:
-            c.stop()
-
-    def test_unauthed_op_is_401(self, tmp_path):
-        c = _Cluster(tmp_path, auth_token="s3cret")
-        try:
-            with ServiceClient(c.router.address, retries=0) as client:
-                with pytest.raises(AuthError, match="auth required"):
-                    client.ping()
-        finally:
-            c.stop()
-
-
 class TestStatsAggregation:
     def test_stats_sum_across_nodes(self, cluster):
         with ServiceClient(cluster.router.address) as client:
@@ -287,7 +256,7 @@ class TestClusterHealthOp:
         assert set(picture) == {"router", "nodes"}
         router = picture["router"]
         for key in ("routed", "failovers", "unrouted", "auth_rejects",
-                    "errors", "listen", "health_interval"):
+                    "auth_failures", "errors", "listen", "health_interval"):
             assert key in router
         assert len(picture["nodes"]) == 2
         for snapshot in picture["nodes"].values():

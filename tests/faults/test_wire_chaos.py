@@ -1,6 +1,6 @@
 """Wire-level chaos and the hardened client/daemon: retried transport
-failures, idempotent change replay, frame caps, the health op, and the
-one-line exit-1 contract for a missing daemon."""
+failures, idempotent change replay, frame caps (daemon and router), the
+health op, and the one-line exit-1 contract for a missing daemon."""
 
 import json
 import socket as socket_mod
@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro import faults
+from repro.cluster.router import RouterDaemon
 from repro.cnf.clause import Clause
 from repro.cnf.dimacs import write_dimacs
 from repro.cnf.formula import CNFFormula
@@ -181,6 +182,9 @@ class TestDaemonResilience:
 
 
 class TestFrameCap:
+    """Over-cap frames against a daemon; :class:`TestRouterFrameCap`
+    runs the same tests against a router."""
+
     @pytest.fixture
     def capped(self, tmp_path):
         d = ServiceDaemon(
@@ -194,10 +198,15 @@ class TestFrameCap:
         d.shutdown()
         thread.join(timeout=10)
 
-    def test_oversized_header_is_refused_and_logged(self, capped):
+    @staticmethod
+    def _connect(tmp_path):
         sock = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
         sock.settimeout(10)
-        sock.connect(capped.socket_path)
+        sock.connect(str(tmp_path / "cap.sock"))
+        return sock
+
+    def test_oversized_header_is_refused_and_logged(self, capped, tmp_path):
+        sock = self._connect(tmp_path)
         try:
             sock.sendall(_LEN.pack(5000))       # declared header over cap
             response, _ = recv_frame(sock)
@@ -209,10 +218,8 @@ class TestFrameCap:
         assert records and records[0]["length"] == 5000
         assert records[0]["op"] is None
 
-    def test_oversized_payload_logs_the_op(self, capped):
-        sock = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
-        sock.settimeout(10)
-        sock.connect(capped.socket_path)
+    def test_oversized_payload_logs_the_op(self, capped, tmp_path):
+        sock = self._connect(tmp_path)
         try:
             raw = b'{"op":"solve"}'
             sock.sendall(_LEN.pack(len(raw)) + raw + _LEN.pack(5000))
@@ -223,6 +230,22 @@ class TestFrameCap:
         records = [r for r in _log_records(capped) if r["event"] == "wire_error"]
         assert records and records[0]["length"] == 5000
         assert records[0]["op"] == "solve"
+
+
+class TestRouterFrameCap(TestFrameCap):
+    @pytest.fixture
+    def capped(self, tmp_path):
+        # No live node is needed: an over-cap frame never gets routed.
+        r = RouterDaemon(
+            str(tmp_path / "cap.sock"),
+            [str(tmp_path / "no-node.sock")],
+            log_path=str(tmp_path / "cap.log"),
+            max_frame_bytes=1024,
+        )
+        thread = r.start()
+        yield r
+        r.shutdown()
+        thread.join(timeout=10)
 
 
 class TestMissingDaemonCli:

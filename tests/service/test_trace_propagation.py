@@ -10,7 +10,7 @@ import pytest
 
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import random_planted_ksat
-from repro.engine.config import EngineConfig
+from repro.engine.config import EngineConfig, SolverConfig
 from repro.obs import tracing
 from repro.obs.tracing import Tracer, group_traces, trace_tree
 from repro.service import wire
@@ -47,10 +47,15 @@ def traced_daemon(tmp_path):
     up must have been *continued* from a wire context, not self-rooted."""
     node_log = tmp_path / "node-trace.jsonl"
     # jobs=2 + a zero quick slice forces the fan-out race, so traces
-    # include the synthetic pool.wait / solve spans with CDCL counters.
+    # include the synthetic pool.wait / solve spans.  Both racers are
+    # CDCL, so whichever wins, its solve span carries CDCL counters.
+    racers = (
+        SolverConfig.make("cdcl", "cdcl"),
+        SolverConfig.make("cdcl-b", "cdcl", seed_offset=1),
+    )
     d = ServiceDaemon(
         str(tmp_path / "svc.sock"),
-        SolverService(EngineConfig(jobs=2, quick_slice=0.0)),
+        SolverService(EngineConfig(jobs=2, quick_slice=0.0, configs=racers)),
         log_path=str(tmp_path / "daemon.log"),
         tracer=Tracer(service="node", sample=0.0, log_path=str(node_log)),
     )
