@@ -125,18 +125,35 @@ def drive(events, address: str, expected, phase: str) -> None:
         raise SystemExit(f"{phase}: {len(mismatches)} wrong verdicts")
 
 
+def journal_end(client: ServiceClient) -> int:
+    """Where a node's cache journal ends, paged through its ``sync`` op.
+
+    ``sync`` is a read-only page pull, so a chaos ``sync.drop`` only costs
+    a client retry; the plan's three drops fit in the default retries.
+    """
+    cursor, more = 0, True
+    while more:
+        page = client.sync(cursor, limit=2048)
+        cursor, more = int(page["cursor"]), bool(page["more"])
+    return cursor
+
+
 def check_cross_node_hit(addr_a: str, addr_b: str) -> None:
     """A verdict solved on A must be served *from cache* on B via sync."""
     f, _ = random_planted_ksat(16, 48, rng=424242)
     with ServiceClient(addr_a, auth_token=TOKEN) as client:
         origin = client.solve(SolveRequest(formula=f, seed=0))
+        # A journals the verdict before it answers, so B holds it once
+        # B's cursor on A reaches this point. Solving on B any earlier
+        # would race B's syncer and cache B's own model instead.
+        end = journal_end(client)
     with ServiceClient(addr_b, auth_token=TOKEN) as client:
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
             counters = client.stats()["metrics"]["counters"]
             sync = client.health().get("sync") or {}
             cursor = (sync.get("peers", {}).get(addr_a) or {}).get("cursor", 0)
-            if counters.get("sync_merged", 0) >= 1 and cursor >= 1:
+            if counters.get("sync_merged", 0) >= 1 and cursor >= end:
                 replica = client.solve(SolveRequest(formula=f, seed=0))
                 if replica.from_cache:
                     break
@@ -144,7 +161,7 @@ def check_cross_node_hit(addr_a: str, addr_b: str) -> None:
         else:
             raise SystemExit(
                 "node B never served node A's verdict from its replica "
-                f"(sync status: {sync!r})"
+                f"(journal end on A: {end}, sync status: {sync!r})"
             )
     if (replica.status, replica.fingerprint) != (origin.status, origin.fingerprint):
         raise SystemExit(
@@ -155,7 +172,7 @@ def check_cross_node_hit(addr_a: str, addr_b: str) -> None:
         raise SystemExit("replicated model diverged from the origin's")
     print(
         f"cross-node hit: ok ({counters.get('sync_merged', 0)} merged, "
-        f"cursor {cursor})"
+        f"cursor {cursor} of {end})"
     )
 
 

@@ -20,9 +20,16 @@ from typing import Iterable
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.errors import PreservationError
+from repro.ilp.constraint import Constraint, Sense
 from repro.ilp.expr import LinExpr
 from repro.ilp.solution import Solution, SolveStats
-from repro.sat.encoding import SATEncoding, encode_sat, neg_name, pos_name
+from repro.sat.encoding import (
+    SATEncoding,
+    encode_sat,
+    literal_names,
+    neg_name,
+    pos_name,
+)
 
 
 def build_preserving_encoding(
@@ -51,15 +58,8 @@ def build_preserving_encoding(
     """
     encoding = encode_sat(modified, minimize_literals=False)
     model = encoding.model
-    active = set(modified.variables)
-
-    agreement_terms: list[LinExpr] = []
-    for var in modified.variables:
-        old = original.get(var)
-        if old is None:
-            continue
-        name = pos_name(var) if old else neg_name(var)
-        agreement_terms.append(model.var(name).to_expr())
+    variables = modified.variables
+    active = set(variables)
 
     for var in preserve:
         if var not in active:
@@ -73,20 +73,25 @@ def build_preserving_encoding(
             )
         name = pos_name(var) if old else neg_name(var)
         model.add_constraint(
-            model.var(name).to_expr() >= 1, name=f"preserve::{var}"
+            Constraint({name: 1.0}, Sense.GE, 1.0), name=f"preserve::{var}"
         )
 
-    objective = LinExpr()
+    # The objective as a term dict, in the order (and with the dropped
+    # zero coefficients) of ``aw * sum(agreement) - qw * sum(literals)``.
+    terms: dict[str, float] = {}
     if agreement_weight:
-        objective = objective + agreement_weight * LinExpr.sum(agreement_terms)
+        for var in variables:
+            old = original.get(var)
+            if old is not None:
+                terms[pos_name(var) if old else neg_name(var)] = float(agreement_weight)
     if quality_weight:
-        all_lits = LinExpr.sum(
-            model.var(nm)
-            for var in modified.variables
-            for nm in (pos_name(var), neg_name(var))
-        )
-        objective = objective - quality_weight * all_lits
-    model.set_objective(objective, sense="max")
+        for name in literal_names(variables):
+            coef = terms.get(name, 0.0) - float(quality_weight)
+            if coef == 0.0:
+                terms.pop(name, None)
+            else:
+                terms[name] = coef
+    model.set_objective(LinExpr(terms), sense="max")
     return encoding
 
 

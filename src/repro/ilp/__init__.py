@@ -6,9 +6,10 @@ the equivalent machinery:
 * :mod:`repro.ilp.expr`, :mod:`repro.ilp.variable`,
   :mod:`repro.ilp.constraint`, :mod:`repro.ilp.model` -- a small modeling
   layer with operator overloading (``2*x + y <= 3``);
-* :mod:`repro.ilp.simplex` -- a dense two-phase primal simplex LP solver;
-* :mod:`repro.ilp.lp_backend` -- pluggable LP relaxation backends (own
-  simplex, scipy HiGHS);
+* :mod:`repro.ilp.lp_backend` -- pluggable LP relaxation backends: HiGHS
+  (through ``scipy.optimize.milp``) by default, the own simplex as the
+  ablation variant and test oracle;
+* :mod:`repro.ilp.simplex` -- the own dense two-phase primal simplex;
 * :mod:`repro.ilp.presolve` -- 0-1 presolve reductions;
 * :mod:`repro.ilp.branch_and_bound` -- exact best-first 0-1/MIP search;
 * :mod:`repro.ilp.cuts` -- root-node cutting planes;

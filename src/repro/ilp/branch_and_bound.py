@@ -11,7 +11,8 @@ This is the reproduction's stand-in for CPLEX's MIP solver.  Design:
 * optional warm start: EC always has the previous solution available, and
   feeding it in gives the search an immediate incumbent — this is exactly
   why the paper's fast/preserving EC re-solves are cheap;
-* pluggable LP backend (own simplex or scipy HiGHS).
+* pluggable LP backend: HiGHS by default, the own simplex as the
+  ablation variant and test oracle (:mod:`repro.ilp.lp_backend`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 import numpy as np
 
 from repro.errors import ModelError
-from repro.ilp.lp_backend import LPBackend, ScipyBackend, default_backend
+from repro.ilp.lp_backend import LPBackend, ScipyBackend
 from repro.ilp.model import ILPModel
 from repro.ilp.presolve import presolve
 from repro.ilp.solution import Solution, SolveStats
@@ -36,7 +37,8 @@ class BranchAndBoundSolver:
     """Configurable exact solver for bounded (mixed) integer programs.
 
     Args:
-        backend: LP relaxation backend; chosen per problem size if None.
+        backend: LP relaxation backend; HiGHS (:class:`ScipyBackend`) if
+            None.
         node_limit: maximum number of expanded nodes before giving up.
         gap_tol: absolute optimality gap at which search stops.
         use_presolve: run :func:`repro.ilp.presolve.presolve` first.
@@ -125,7 +127,7 @@ class BranchAndBoundSolver:
         base_lb = np.array([v.lb for v in model.variables])
         base_ub = np.array([v.ub for v in model.variables])
         int_mask = model.integer_mask()
-        backend = self.backend or default_backend(n, model.num_constraints)
+        backend = self.backend or ScipyBackend()
 
         incumbent_x: np.ndarray | None = None
         incumbent_val = np.inf  # minimized objective
@@ -163,8 +165,6 @@ class BranchAndBoundSolver:
             if kick.status.has_solution:
                 try_incumbent(np.array([kick.values[nm] for nm in names]))
 
-        fallback = ScipyBackend()
-
         def solve_lp(lb: np.ndarray, ub: np.ndarray):
             nonlocal backend
             stats.lp_solves += 1
@@ -174,7 +174,7 @@ class BranchAndBoundSolver:
             ):
                 # The lightweight simplex stalled (degenerate relaxation);
                 # switch this search permanently to the HiGHS backend.
-                backend = fallback
+                backend = ScipyBackend()
                 res = backend.solve(c, a_ub, b_ub, a_eq, b_eq, list(zip(lb, ub)))
             stats.simplex_iterations += res.iterations
             return res
@@ -191,6 +191,9 @@ class BranchAndBoundSolver:
         heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray]] = []
         heapq.heappush(heap, (root.objective, next(counter), base_lb, base_ub, root.x))
         best_bound = root.objective
+        # Lowest bound over subtrees whose LP did not finish: they are
+        # neither pruned nor searched, so optimality stays unproven.
+        open_bound = np.inf
 
         while heap:
             if stats.nodes >= self.node_limit:
@@ -228,8 +231,11 @@ class BranchAndBoundSolver:
                 if child_lb[branch_var] > child_ub[branch_var] + 1e-12:
                     continue
                 res = solve_lp(child_lb, child_ub)
-                if res.status is not SolveStatus.OPTIMAL:
+                if res.status is SolveStatus.INFEASIBLE:
                     continue  # infeasible child is pruned
+                if res.status is not SolveStatus.OPTIMAL:
+                    open_bound = min(open_bound, bound)
+                    continue
                 if res.objective >= incumbent_val - self.gap_tol:
                     continue  # bound-dominated
                 heapq.heappush(
@@ -237,13 +243,17 @@ class BranchAndBoundSolver:
                     (res.objective, next(counter), child_lb, child_ub, res.x),
                 )
 
-        exhausted = not heap or (
-            incumbent_x is not None and best_bound >= incumbent_val - self.gap_tol
+        unfinished = open_bound < incumbent_val - self.gap_tol
+        exhausted = not unfinished and (
+            not heap
+            or (incumbent_x is not None and best_bound >= incumbent_val - self.gap_tol)
         )
+        best_bound = min(best_bound, open_bound)
         if incumbent_x is None:
             if exhausted and stats.nodes < self.node_limit:
                 return Solution(SolveStatus.INFEASIBLE, stats=stats)
-            return Solution(SolveStatus.NODE_LIMIT, stats=stats, bound=sign * best_bound)
+            status = SolveStatus.ERROR if unfinished else SolveStatus.NODE_LIMIT
+            return Solution(status, stats=stats, bound=sign * best_bound)
         values = {names[i]: float(incumbent_x[i]) for i in range(n)}
         # Snap integers exactly.
         for i in range(n):

@@ -121,13 +121,13 @@ def strengthen_with_cuts(
 
     Returns the strengthened model copy and the number of cuts added.
     """
-    from repro.ilp.lp_backend import default_backend
+    from repro.ilp.lp_backend import ScipyBackend
     from repro.ilp.status import SolveStatus
 
     out = model.copy()
     total = 0
+    backend = ScipyBackend()
     for _ in range(rounds):
-        backend = default_backend(out.num_vars, out.num_constraints)
         a_ub, b_ub, a_eq, b_eq = out.constraint_matrices()
         c = out.objective_vector()
         if out.is_maximization:

@@ -3,13 +3,14 @@
 Two interchangeable backends solve the LP relaxations inside branch and
 bound:
 
+* :class:`ScipyBackend` — HiGHS, reached through ``scipy.optimize.milp``
+  with no integrality constraints (one LP solve at about half the
+  per-call wrapper cost of ``linprog``).  Branch and bound and the root
+  cut loop use it whenever no backend is passed;
 * :class:`SimplexBackend` — the from-scratch solver in
-  :mod:`repro.ilp.simplex` (the default for small problems, and the one
-  that makes this reproduction self-contained);
-* :class:`ScipyBackend` — scipy's HiGHS, used for large relaxations and as
-  an independent cross-check in the test suite.
-
-``default_backend()`` picks per problem size.
+  :mod:`repro.ilp.simplex`, kept as the ablation variant
+  (:mod:`repro.bench.ablations`) and as an independent oracle in the test
+  suite.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import milp
 
 from repro.ilp.simplex import simplex_solve
 from repro.ilp.status import SolveStatus
@@ -68,49 +68,38 @@ class SimplexBackend:
         return LPResult(res.status, res.x, res.objective, res.iterations)
 
 
+#: ``scipy.optimize.milp`` status codes.
+_MILP_STATUS = {
+    0: SolveStatus.OPTIMAL,
+    1: SolveStatus.ITERATION_LIMIT,
+    2: SolveStatus.INFEASIBLE,
+    3: SolveStatus.UNBOUNDED,
+}
+
+
+def _has_rows(a, b) -> bool:
+    return a is not None and b is not None and np.shape(a)[0] > 0
+
+
 class ScipyBackend:
-    """scipy.optimize.linprog (HiGHS dual simplex)."""
+    """HiGHS via ``scipy.optimize.milp`` with every variable continuous.
+
+    The inequality rows go in as ``-inf <= A_ub x <= b_ub`` and the
+    equality rows as ``b_eq <= A_eq x <= b_eq``.  ``milp`` reports no
+    simplex iteration count, so ``iterations`` is always 0.
+    """
 
     name = "scipy-highs"
 
     def solve(self, c, a_ub, b_ub, a_eq, b_eq, bounds) -> LPResult:
-        def _none_if_empty(a, b):
-            if a is None or b is None or (sp.issparse(a) and a.shape[0] == 0):
-                return None, None
-            if not sp.issparse(a) and np.asarray(a).size == 0:
-                return None, None
-            return a, b
-
-        a_ub, b_ub = _none_if_empty(a_ub, b_ub)
-        a_eq, b_eq = _none_if_empty(a_eq, b_eq)
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-        )
-        iterations = int(getattr(res, "nit", 0) or 0)
-        if res.status == 0:
-            return LPResult(SolveStatus.OPTIMAL, np.asarray(res.x), float(res.fun), iterations)
-        if res.status == 2:
-            return LPResult(SolveStatus.INFEASIBLE, iterations=iterations)
-        if res.status == 3:
-            return LPResult(SolveStatus.UNBOUNDED, iterations=iterations)
-        if res.status == 1:
-            return LPResult(SolveStatus.ITERATION_LIMIT, iterations=iterations)
-        return LPResult(SolveStatus.ERROR, iterations=iterations)
-
-
-#: Problem size (vars * constraints) above which the scipy backend is used
-#: by ``default_backend``; the dense tableau grows quadratically.
-SIMPLEX_SIZE_LIMIT = 40_000
-
-
-def default_backend(num_vars: int, num_constraints: int) -> LPBackend:
-    """Choose a backend: own simplex when small, HiGHS when large."""
-    if num_vars * max(num_constraints, 1) <= SIMPLEX_SIZE_LIMIT:
-        return SimplexBackend()
-    return ScipyBackend()
+        rows = []
+        if _has_rows(a_ub, b_ub):
+            rows.append((a_ub, -np.inf, b_ub))
+        if _has_rows(a_eq, b_eq):
+            rows.append((a_eq, b_eq, b_eq))
+        box = np.asarray(bounds, dtype=float).reshape(-1, 2)
+        res = milp(c, bounds=(box[:, 0], box[:, 1]), constraints=rows)
+        status = _MILP_STATUS.get(res.status, SolveStatus.ERROR)
+        if status is SolveStatus.OPTIMAL:
+            return LPResult(status, res.x, float(res.fun))
+        return LPResult(status)

@@ -10,11 +10,11 @@ by shifting out lower bounds, adding upper bounds as explicit rows, and
 running the classic two-phase tableau method with Dantzig pricing and a
 Bland's-rule fallback for anti-cycling.
 
-The implementation favours clarity and numerical caution over speed; the
-branch-and-bound solver uses it directly for small/medium relaxations and
-can delegate to scipy's HiGHS for large ones (see
-:mod:`repro.ilp.lp_backend`).  Tests cross-check the two backends on random
-LPs.
+The implementation favours clarity and numerical caution over speed.
+Branch and bound solves its relaxations with HiGHS by default; this solver
+is the ablation variant (``BranchAndBoundSolver(backend=SimplexBackend())``,
+see :mod:`repro.ilp.lp_backend`) and the independent oracle the tests
+cross-check HiGHS against.
 """
 
 from __future__ import annotations

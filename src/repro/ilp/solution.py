@@ -21,7 +21,7 @@ class SolveStats:
 
     nodes: int = 0                # branch-and-bound nodes expanded
     lp_solves: int = 0            # LP relaxations solved
-    simplex_iterations: int = 0   # total pivots across LP solves
+    simplex_iterations: int = 0   # own-simplex pivots (HiGHS via milp reports none)
     presolve_fixed: int = 0       # variables fixed by presolve
     cuts_added: int = 0           # cutting planes added at the root
     heuristic_moves: int = 0      # local-search moves (heuristic solver)

@@ -19,9 +19,12 @@ and recover as many DC variables from the initial solution as possible").
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.errors import ModelError
+from repro.ilp.constraint import Constraint, Sense
 from repro.ilp.expr import LinExpr
 from repro.ilp.model import ILPModel
 from repro.ilp.solution import Solution
@@ -40,6 +43,13 @@ def neg_name(var: int) -> str:
 def literal_name(lit: int) -> str:
     """ILP variable name selecting literal *lit*."""
     return pos_name(lit) if lit > 0 else neg_name(-lit)
+
+
+def literal_names(variables: Iterable[int]) -> Iterator[str]:
+    """``pos::v, neg::v`` for each of *variables*: the encoding's column order."""
+    for var in variables:
+        yield pos_name(var)
+        yield neg_name(var)
 
 
 class SATEncoding:
@@ -64,29 +74,27 @@ class SATEncoding:
                 literals).  EC variants replace the objective afterwards.
         """
         model = ILPModel("sat")
-        for var in formula.variables:
-            model.add_binary(pos_name(var))
-            model.add_binary(neg_name(var))
+        variables = formula.variables
+        for name in literal_names(variables):
+            model.add_binary(name)
+        # Rows and objective are term dicts in the normal form ``LinExpr``
+        # algebra would produce (tests/sat/test_encoding_reference.py pins
+        # that), built without the algebra's per-row copies.
         for index, clause in enumerate(formula.clauses):
             if clause.is_empty():
                 raise ModelError(f"clause {index} is empty; formula is unsatisfiable")
-            row = LinExpr.sum(
-                model.var(literal_name(lit)) for lit in clause
-            )
-            model.add_constraint(row >= 1, name=f"clause::{index}")
-        for var in formula.variables:
             model.add_constraint(
-                model.var(pos_name(var)) + model.var(neg_name(var)) <= 1,
+                Constraint({literal_name(lit): 1.0 for lit in clause}, Sense.GE, 1.0),
+                name=f"clause::{index}",
+            )
+        for var in variables:
+            model.add_constraint(
+                Constraint({pos_name(var): 1.0, neg_name(var): 1.0}, Sense.LE, 1.0),
                 name=f"consistency::{var}",
             )
         if minimize_literals:
             model.set_objective(
-                LinExpr.sum(
-                    model.var(nm)
-                    for var in formula.variables
-                    for nm in (pos_name(var), neg_name(var))
-                ),
-                sense="min",
+                LinExpr(dict.fromkeys(literal_names(variables), 1.0)), sense="min"
             )
         return cls(formula, model)
 

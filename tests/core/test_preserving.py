@@ -12,6 +12,7 @@ from repro.core.preserving import (
     resolve_oblivious,
 )
 from repro.errors import PreservationError
+from repro.ilp.status import SolveStatus
 from repro.sat.brute import max_agreement_model
 
 
@@ -75,6 +76,9 @@ class TestOptimality:
         modified, _ = table3_trial(f, p, rng=77)
         pres = preserving_ec(modified, p, time_limit=60)
         obl = resolve_oblivious(modified, p, time_limit=60)
+        # Both answers proven, so the comparison is between two optima.
+        assert pres.solution.status is SolveStatus.OPTIMAL
+        assert obl.solution.status is SolveStatus.OPTIMAL
         assert pres.preserved_fraction >= obl.preserved_fraction - 1e-9
 
 

@@ -78,6 +78,31 @@ class TestProcessPoolRace:
             assert p.total_launched == 3 * len(p.configs)
 
 
+    def test_forked_ilp_racers_answer_after_parent_used_highs(self, sat_instance):
+        # HiGHS may start worker threads in the process that first calls
+        # it; forked pool workers inherit its state without the threads
+        # and must still finish their own LP relaxations.
+        import numpy as np
+
+        from repro.ilp.lp_backend import ScipyBackend
+
+        lp = ScipyBackend().solve(
+            np.array([-1.0, -1.0]), np.array([[1.0, 2.0]]), np.array([3.0]),
+            None, None, [(0.0, 1.0), (0.0, 1.0)],
+        )
+        assert lp.objective == pytest.approx(-2.0)
+        configs = [
+            SolverConfig.make("ilp-a", "ilp-exact"),
+            SolverConfig.make("ilp-b", "ilp-exact", seed_offset=1),
+        ]
+        with Portfolio(configs=configs, jobs=2, quick_slice=0.0) as p:
+            for seed in range(2):
+                result = p.solve(sat_instance, deadline=60.0, seed=seed)
+                assert result.outcome.status == SAT
+                assert result.winner in ("ilp-a", "ilp-b")
+                assert sat_instance.is_satisfied(result.outcome.assignment)
+
+
 class TestSequentialFallback:
     def test_jobs_one_never_forks(self, sat_instance):
         p = Portfolio(jobs=1, quick_slice=0.0)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.ilp.expr import LinExpr
-from repro.ilp.lp_backend import ScipyBackend, SimplexBackend
+from repro.ilp.lp_backend import LPResult, ScipyBackend, SimplexBackend
 from repro.ilp.model import ILPModel
 from repro.ilp.status import SolveStatus
 
@@ -96,6 +96,48 @@ class TestStatuses:
             SolveStatus.FEASIBLE,
             SolveStatus.NODE_LIMIT,
         )
+
+
+class RootOnlyBackend(ScipyBackend):
+    """HiGHS for the root LP; every later LP ends unfinished (``ERROR``)."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def solve(self, *args):
+        self.calls += 1
+        if self.calls == 1:
+            return super().solve(*args)
+        return LPResult(SolveStatus.ERROR)
+
+
+class TestUnfinishedChildren:
+    """A child whose LP did not finish is neither pruned nor a proof."""
+
+    def test_incumbent_stays_unproven(self):
+        m = knapsack_model([3, 5, 7, 4], [4, 6, 9, 5], 11)
+        backend = RootOnlyBackend()
+        sol = BranchAndBoundSolver(backend=backend).solve(m)
+        assert backend.calls > 1
+        assert sol.status is SolveStatus.FEASIBLE
+        assert not sol.status.is_proven
+        assert sol.objective <= 14.0 + 1e-9
+        assert sol.bound >= 14.0 - 1e-9  # still a valid bound on the optimum 14
+
+    def test_no_incumbent_is_not_infeasible(self):
+        # 2a + 3b == 7: the LP optimum a = 3.5 rounds to no integer point,
+        # so the search has no incumbent when its children fail.
+        m = ILPModel()
+        a = m.add_integer("a", 0, 5)
+        b = m.add_integer("b", 0, 5)
+        m.add_constraint((2 * a + 3 * b).__eq__(7.0))
+        m.set_objective(a + 0, "max")
+        sol = BranchAndBoundSolver(backend=RootOnlyBackend(), use_presolve=False).solve(m)
+        assert sol.status is SolveStatus.ERROR
+        assert not sol.status.has_solution
+        solved = BranchAndBoundSolver(use_presolve=False).solve(m)
+        assert solved.status is SolveStatus.OPTIMAL
+        assert solved.rounded("a") == 2
 
 
 class TestWarmStart:

@@ -17,6 +17,7 @@ from repro.ilp.constraint import Constraint, Sense
 from repro.ilp.expr import LinExpr
 from repro.ilp.model import ILPModel
 from repro.ilp.presolve import presolve
+from repro.ilp.lp_backend import ScipyBackend, SimplexBackend
 from repro.ilp.simplex import simplex_solve
 from repro.ilp.status import SolveStatus
 
@@ -102,12 +103,32 @@ class TestSimplexAgainstScipy:
         b = rng.integers(-2, 7, size=m).astype(float)
         bounds = [(0.0, 1.0)] * n
         ours = simplex_solve(c, a, b, bounds=bounds)
+        highs = ScipyBackend().solve(c, a, b, None, None, bounds)
         ref = linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
         if ref.status == 0:
-            assert ours.status is SolveStatus.OPTIMAL
+            assert ours.status is highs.status is SolveStatus.OPTIMAL
             assert ours.objective == pytest.approx(ref.fun, abs=1e-6)
+            assert highs.objective == pytest.approx(ref.fun, abs=1e-6)
         elif ref.status == 2:
-            assert ours.status is SolveStatus.INFEASIBLE
+            assert ours.status is highs.status is SolveStatus.INFEASIBLE
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_box_lp_with_equalities(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        m_ub, m_eq = int(rng.integers(0, 5)), int(rng.integers(1, 3))
+        c = rng.integers(-4, 5, size=n).astype(float)
+        a_ub = rng.integers(-3, 4, size=(m_ub, n)).astype(float)
+        b_ub = rng.integers(-2, 7, size=m_ub).astype(float)
+        a_eq = rng.integers(-3, 4, size=(m_eq, n)).astype(float)
+        b_eq = a_eq @ rng.random(n)  # satisfiable inside the box
+        bounds = [(0.0, 1.0)] * n
+        ours = SimplexBackend().solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        highs = ScipyBackend().solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        assert ours.status is highs.status
+        if highs.status is SolveStatus.OPTIMAL:
+            assert ours.objective == pytest.approx(highs.objective, abs=1e-6)
 
 
 class TestPresolveProperties:
