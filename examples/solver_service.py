@@ -59,7 +59,7 @@ def main() -> None:
         extra, _ = random_planted_ksat(20, 66, rng=9)
         pending = service.submit(SolveRequest(formula=extra, seed=0))
         print(f"submitted query: {pending.result().status} "
-              f"(engine races so far: {service.engine.stats.races})")
+              f"(engine races so far: {service.engine.counters()['races']})")
 
     print("\n== Daemon round trip ==")
     with tempfile.TemporaryDirectory() as tmp:

@@ -38,18 +38,11 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from smoke_common import outcome_keys, spawn, stop
+from smoke_common import baseline, compare, spawn, stop
 
-from repro.engine.config import EngineConfig
 from repro.faults import FaultInjector, FaultPlan
 from repro.service.client import ServiceClient
-from repro.service.service import SolverService
-from repro.workload import (
-    build_scenario,
-    client_factory,
-    inprocess_factory,
-    run_events,
-)
+from repro.workload import build_scenario, client_factory, run_events
 
 SCENARIO = "tenant-churn"
 
@@ -134,16 +127,7 @@ def main() -> int:
     print(f"scenario: {SCENARIO}, {len(events)} events")
 
     # Clean in-process baseline: the ground truth for every verdict.
-    with SolverService(EngineConfig(jobs=2)) as service:
-        baseline, wall = run_events(events, inprocess_factory(service))
-    failed = [r for r in baseline if not r.ok]
-    if failed:
-        raise SystemExit(
-            f"baseline run failed {len(failed)} events "
-            f"(first: {failed[0].error})"
-        )
-    expected = [outcome_keys(r) for r in baseline]
-    print(f"baseline: {len(events)} events in {wall:.2f}s, all ok")
+    expected = baseline(events)
 
     sock = workdir / "serve.sock"
     proc, _ = spawn(
@@ -159,36 +143,10 @@ def main() -> int:
             events, client_factory(str(sock)),
             concurrency=lane["concurrency"],
         )
-        errors = [r for r in results if not r.ok]
-        mismatches = []
-        for r, want in zip(results, expected):
-            if not r.ok or want is None:
-                continue
-            got = outcome_keys(r)
-            if got != want:
-                mismatches.append(
-                    f"event {r.index} ({r.kind}): {got!r} != {want!r}"
-                )
-        print(
-            f"chaos run: {len(events)} events in {wall:.2f}s, "
-            f"{len(errors)} errors, {len(mismatches)} mismatches"
+        compare(
+            results, expected, "chaos run",
+            int(lane["allowed_error_rate"] * len(events)), wall=wall,
         )
-        for line in mismatches[:10]:
-            print(f"  mismatch: {line}")
-        if mismatches:
-            raise SystemExit(
-                f"{len(mismatches)} wrong verdicts under chaos "
-                f"(plan: {spec})"
-            )
-        allowed = int(lane["allowed_error_rate"] * len(events))
-        if len(errors) > allowed:
-            detail = "; ".join(
-                f"event {r.index} ({r.kind}): {r.error}" for r in errors[:5]
-            )
-            raise SystemExit(
-                f"{len(errors)} errored events exceeds the lane budget "
-                f"({allowed}) — {detail}"
-            )
 
         with ServiceClient(str(sock)) as client:
             health = client.health()

@@ -38,19 +38,12 @@ import sys
 import time
 from pathlib import Path
 
-from smoke_common import outcome_keys, repro_env, spawn, stop
+from smoke_common import baseline, compare, repro_env, spawn, stop
 
-from repro.engine.config import EngineConfig
 from repro.service.client import ServiceClient
 from repro.service.requests import SolveRequest
-from repro.service.service import SolverService
 from repro.cnf.generators import random_planted_ksat
-from repro.workload import (
-    build_scenario,
-    client_factory,
-    inprocess_factory,
-    run_events,
-)
+from repro.workload import build_scenario, client_factory, run_events
 
 SCENARIO = "tenant-churn"
 TENANTS = 3
@@ -102,27 +95,7 @@ def drive(events, address: str, expected, phase: str) -> None:
         client_factory(address, auth_token=TOKEN),
         concurrency=CONCURRENCY,
     )
-    errors = [r for r in results if not r.ok]
-    mismatches = []
-    for r, want in zip(results, expected):
-        if not r.ok or want is None:
-            continue
-        got = outcome_keys(r)
-        if got != want:
-            mismatches.append(f"event {r.index} ({r.kind}): {got!r} != {want!r}")
-    print(
-        f"{phase}: {len(events)} events in {wall:.2f}s, "
-        f"{len(errors)} errors, {len(mismatches)} mismatches"
-    )
-    for line in mismatches[:10]:
-        print(f"  mismatch: {line}")
-    if errors:
-        detail = "; ".join(
-            f"event {r.index} ({r.kind}): {r.error}" for r in errors[:5]
-        )
-        raise SystemExit(f"{phase}: {len(errors)} errored events — {detail}")
-    if mismatches:
-        raise SystemExit(f"{phase}: {len(mismatches)} wrong verdicts")
+    compare(results, expected, phase, wall=wall)
 
 
 def journal_end(client: ServiceClient) -> int:
@@ -201,13 +174,7 @@ def main() -> int:
     print(f"scenario: {SCENARIO}, {len(events)} events")
 
     # Clean single-node baseline: the ground truth for every verdict.
-    with SolverService(EngineConfig(jobs=2)) as service:
-        baseline, wall = run_events(events, inprocess_factory(service))
-    failed = [r for r in baseline if not r.ok]
-    if failed:
-        raise SystemExit(f"baseline failed {len(failed)} events")
-    expected = [outcome_keys(r) for r in baseline]
-    print(f"baseline: {len(events)} events in {wall:.2f}s, all ok")
+    expected = baseline(events)
 
     node_a = node_b = router = None
     try:

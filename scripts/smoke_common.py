@@ -104,6 +104,57 @@ def _unread(proc: subprocess.Popen) -> str:
     return out.decode(errors="replace")
 
 
+def baseline(events) -> list:
+    """The expected :func:`outcome_keys` of every event: *events* run on
+    a clean in-process service (no daemon, no chaos), which must answer
+    every one of them."""
+    from repro.engine.config import EngineConfig
+    from repro.service.service import SolverService
+    from repro.workload import inprocess_factory, run_events
+
+    with SolverService(EngineConfig(jobs=2)) as service:
+        results, wall = run_events(events, inprocess_factory(service))
+    failed = [r for r in results if not r.ok]
+    if failed:
+        raise SystemExit(
+            f"baseline run failed {len(failed)} events "
+            f"(first: {failed[0].error})"
+        )
+    print(f"baseline: {len(events)} events in {wall:.2f}s, all ok")
+    return [outcome_keys(r) for r in results]
+
+
+def compare(results, expected, phase: str, allowed_errors: int = 0, *,
+            wall: float) -> None:
+    """Check one run against :func:`baseline`: print a summary line and
+    the first 10 mismatches, then fail the lane on any wrong verdict or
+    on more than *allowed_errors* errored events."""
+    errors = [r for r in results if not r.ok]
+    mismatches = []
+    for r, want in zip(results, expected):
+        if not r.ok or want is None:
+            continue
+        got = outcome_keys(r)
+        if got != want:
+            mismatches.append(f"event {r.index} ({r.kind}): {got!r} != {want!r}")
+    print(
+        f"{phase}: {len(results)} events in {wall:.2f}s, "
+        f"{len(errors)} errors, {len(mismatches)} mismatches"
+    )
+    for line in mismatches[:10]:
+        print(f"  mismatch: {line}")
+    if mismatches:
+        raise SystemExit(f"{phase}: {len(mismatches)} wrong verdicts")
+    if len(errors) > allowed_errors:
+        detail = "; ".join(
+            f"event {r.index} ({r.kind}): {r.error}" for r in errors[:5]
+        )
+        raise SystemExit(
+            f"{phase}: {len(errors)} errored events exceeds the lane "
+            f"budget ({allowed_errors}) — {detail}"
+        )
+
+
 def outcome_keys(result) -> list[tuple] | None:
     """What must reproduce for one event (None = skip the comparison).
 

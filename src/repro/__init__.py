@@ -68,7 +68,7 @@ from repro.engine import (
     PortfolioEngine,
     SolutionCache,
     SolverConfig,
-    fingerprint,
+    fingerprint_v2,
 )
 from repro.ilp import ILPModel, LinExpr, Solution, SolveStatus, solve
 from repro.obs import (
@@ -134,7 +134,7 @@ __all__ = [
     "enable_ec",
     "encode_sat",
     "fast_ec",
-    "fingerprint",
+    "fingerprint_v2",
     "preserving_ec",
     "read_trace",
     "replay_trace",

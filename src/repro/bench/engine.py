@@ -32,8 +32,8 @@ and two packed-kernel comparisons (the flat-array substrate):
    per-race worker-transport cost — pickled ``CNFFormula`` object graph
    vs ``PackedCNF.to_bytes`` wire bytes, round-tripped (bytes and
    latency); (c) fingerprint maintenance across an 8-change EC chain —
-   from-scratch fp-v1 re-hash per edit vs the incrementally maintained
-   fp-v2 digest;
+   fp-v2 recomputed from scratch per edit vs the incrementally
+   maintained fp-v2 digest;
 7. **batch** — ``PortfolioEngine.solve_many`` over the suite with every
    instance duplicated: one pool warm-up, intra-batch fingerprint
    dedup.
@@ -82,7 +82,7 @@ from repro.engine.adapters import (
     WalkSATAdapter,
 )
 from repro.engine.engine import PortfolioEngine
-from repro.engine.fingerprint import fingerprint, fingerprint_v2
+from repro.engine.fingerprint import fingerprint_v2, fingerprint_v2_scratch
 from repro.engine.session import IncrementalSession
 from repro.errors import ReproError
 from repro.sat.dpll import dpll_solve
@@ -334,7 +334,7 @@ class PackedRow:
     transport_packed_time: float = 0.0     # to_bytes + from_bytes round trip
     transport_speedup: float = 0.0         # pickle time / packed time
     #: Fingerprint maintenance across an EC change chain: per-edit
-    #: from-scratch fp-v1 re-hash vs the incrementally maintained fp-v2.
+    #: from-scratch fp-v2 vs the incrementally maintained fp-v2.
     fp_changes: int = 0
     fp_scratch_time: float = 0.0
     fp_incremental_time: float = 0.0
@@ -401,9 +401,9 @@ def bench_packed_row(
     )
     row.transport_speedup = row.transport_pickle_time / row.transport_packed_time
 
-    # (c) fingerprint maintenance across an EC change chain: re-hash the
-    # whole clause set per edit (scratch) vs the incrementally maintained
-    # per-clause digest combine (fp-v2).
+    # (c) fingerprint maintenance across an EC change chain: fp-v2
+    # re-digesting every clause per edit (scratch) vs the incrementally
+    # maintained per-clause digest combine.
     chain = _fp_change_chain(inst.formula, changes, random.Random(seed))
     row.fp_changes = len(chain)
     t_scratch = float("inf")
@@ -413,7 +413,7 @@ def bench_packed_row(
         t0 = time.perf_counter()
         for cs in chain:
             scratch = cs.apply_to(scratch)
-            fingerprint(scratch)
+            fingerprint_v2_scratch(scratch)
         t_scratch = min(t_scratch, time.perf_counter() - t0)
 
         inc = CNFFormula(inst.formula.clauses)
@@ -453,12 +453,13 @@ def bench_batch(
         t0 = time.perf_counter()
         results = engine.solve_many(formulas, seed=seed)
         wall = time.perf_counter() - t0
+        counters = engine.counters()
         return {
             "instances": len(formulas),
             "wall_time": wall,
-            "races": engine.stats.races,
-            "cache_hits": engine.stats.cache_hits,
-            "batch_dedups": engine.stats.batch_dedups,
+            "races": counters["races"],
+            "cache_hits": counters["cache_hits"],
+            "batch_dedups": counters["batch_dedups"],
             "undecided": sum(1 for r in results if r.status == "unknown"),
         }
 
@@ -488,7 +489,7 @@ def bench_service(
             service.change(ChangeRequest(
                 name, ChangeSet([RemoveClause(victim)]), seed=seed,
             ))
-        shared_races = service.engine.stats.races
+        shared_races = service.engine.counters()["races"]
     shared_wall = max(time.perf_counter() - t0, _MIN_TIME)
 
     # ... vs a fresh engine per query (what per-call construction costs:
@@ -526,7 +527,7 @@ def bench_service(
                     formula=CNFFormula(inst.formula.clauses), seed=seed
                 ))
             disk_hits = service.engine.cache.stats.hits
-            warm_solver_calls = service.engine.stats.solver_calls
+            warm_solver_calls = service.engine.counters()["solver_calls"]
         hit_wall = max(time.perf_counter() - t0, _MIN_TIME)
     if warm_solver_calls:
         raise ReproError(

@@ -236,11 +236,12 @@ def _cmd_solve_batch(args) -> int:
             else:
                 undecided += 1
                 print(f"{path.name}: UNDECIDED")
-        stats = service.engine.stats
+        counters = service.engine.counters()
         print(
-            f"c batch: {len(paths)} instances, {stats.races} races, "
-            f"{stats.cache_hits} cache hits, {stats.revalidations} "
-            f"revalidations, {stats.batch_dedups} batch dedups"
+            f"c batch: {len(paths)} instances, {counters['races']} races, "
+            f"{counters['cache_hits']} cache hits, "
+            f"{counters['revalidations']} revalidations, "
+            f"{counters['batch_dedups']} batch dedups"
         )
         _write_stats_json(
             args.stats_json, service.stats(),

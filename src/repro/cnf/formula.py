@@ -39,12 +39,10 @@ class CNFFormula:
     ):
         self._clauses: list[Clause] = []
         self._variables: set[int] = set()
-        # Derived-state caches.  ``_packed`` is the flat-array kernel,
-        # incrementally *maintained* by every EC edit once built; the
-        # fingerprint caches are invalidated (dirty-flag style) instead.
+        # The flat-array kernel (and with it the fp-v2 digest state),
+        # built on first use and incrementally *maintained* by every EC
+        # edit after that.
         self._packed: PackedCNF | None = None
-        self._normalized_cache: tuple[tuple[int, ...], ...] | None = None
-        self._fingerprint_cache: str | None = None
         for cl in clauses:
             self.add_clause(cl)
         if num_vars is not None:
@@ -103,11 +101,6 @@ class CNFFormula:
             self._packed = PackedCNF.from_formula(self)
         return self._packed
 
-    def _dirty(self) -> None:
-        """Invalidate the clause-set caches after a clause-changing edit."""
-        self._normalized_cache = None
-        self._fingerprint_cache = None
-
     # ------------------------------------------------------------------
     # mutation — the four EC edit primitives
     # ------------------------------------------------------------------
@@ -119,7 +112,6 @@ class CNFFormula:
             raise ClauseError("cannot add the empty clause to a formula")
         self._clauses.append(clause)
         self._variables.update(clause.variables)
-        self._dirty()
         if self._packed is not None:
             self._packed.append_clause(clause.literals)
         return clause
@@ -138,7 +130,6 @@ class CNFFormula:
         except ValueError:
             raise ClauseError(f"clause {clause!r} not present in formula") from None
         del self._clauses[index]
-        self._dirty()
         if self._packed is not None:
             self._packed.remove_clause_at(index)
         return clause
@@ -150,7 +141,6 @@ class CNFFormula:
             clause = self._clauses.pop(index)
         except IndexError:
             raise ClauseError(f"no clause at index {index}") from None
-        self._dirty()
         if self._packed is not None:
             self._packed.remove_clause_at(index if index >= 0 else size + index)
         return clause
@@ -161,7 +151,7 @@ class CNFFormula:
         With no argument a fresh id (``max_var + 1``) is allocated.  Adding a
         variable never invalidates an existing solution (the paper assigns
         it a don't-care value).  Free variables are excluded from the
-        fingerprint, so the clause-set caches stay valid.
+        fingerprint: the kernel records the variable, its digest is unchanged.
         """
         if var is None:
             var = self.max_var + 1
@@ -197,7 +187,6 @@ class CNFFormula:
                 new_clauses.append(cl)
         self._clauses = new_clauses
         self._variables.discard(var)
-        self._dirty()
         if self._packed is not None:
             self._packed.eliminate_variable(var)
         return touched
@@ -277,9 +266,9 @@ class CNFFormula:
     def copy(self) -> "CNFFormula":
         """Deep-enough copy (clauses are immutable and shared).
 
-        The packed kernel and fingerprint caches are carried along (the
-        kernel as an independent copy — it is mutable), so an EC change
-        chain built from successive copies keeps its incremental state.
+        The packed kernel is carried along as an independent copy (it is
+        mutable), so an EC change chain built from successive copies
+        keeps its incremental fingerprint state.
         Copying the kernel is O(total literals) but pure C-level memcpy
         (array slices, one dict copy); the expensive part — re-hashing
         every clause digest — is what carrying the state avoids, and the
@@ -289,8 +278,6 @@ class CNFFormula:
         out._clauses = list(self._clauses)
         out._variables = set(self._variables)
         out._packed = self._packed.copy() if self._packed is not None else None
-        out._normalized_cache = self._normalized_cache
-        out._fingerprint_cache = self._fingerprint_cache
         return out
 
     def deduplicated(self) -> "CNFFormula":

@@ -354,9 +354,8 @@ class PackedCNF:
         The first call initializes the per-clause digest state in
         O(clauses); every EC edit afterwards maintains it in O(changed
         clauses), so re-fingerprinting along a change chain is O(1) per
-        query.  The same invariants as fp-v1 hold: clause order, clause
-        multiplicity, and free variables never matter, and the empty
-        clause is distinguished.
+        query.  Clause order, clause multiplicity, and free variables
+        never matter, and the empty clause is distinguished.
         """
         if self._digest_counts is None:
             self._init_digests()

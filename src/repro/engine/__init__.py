@@ -4,13 +4,14 @@ The paper's EC thesis is that successive specification changes should be
 *cheap* to absorb.  This subpackage industrialises that idea into an
 engine suitable for serving many queries:
 
-* :mod:`repro.engine.protocol`    -- the uniform ``Solver`` interface and
-  ``SolverOutcome`` result record every backend adapts to;
+* :mod:`repro.engine.protocol`    -- the uniform ``Solver`` interface, the
+  ``SolverOutcome`` record every backend adapts to, and the
+  ``SolveResponse`` record every query is answered with;
 * :mod:`repro.engine.adapters`    -- adapters giving CDCL, DPLL, WalkSAT,
   brute force, and both ILP solvers one ``solve(formula, *, deadline,
   seed)`` entry point;
 * :mod:`repro.engine.fingerprint` -- canonical, order-insensitive formula
-  fingerprints (normalized-clause hashes);
+  fingerprints (fp-v2, incrementally maintained on the packed kernel);
 * :mod:`repro.engine.cache`       -- the :class:`CacheBackend` protocol and
   the content-addressed in-memory LRU :class:`SolutionCache`;
 * :mod:`repro.engine.diskcache`   -- :class:`DiskCache`, the persistent
@@ -45,10 +46,12 @@ from repro.engine.config import (
     default_portfolio_configs,
 )
 from repro.engine.diskcache import DiskCache
-from repro.engine.engine import EngineResult, EngineStats, PortfolioEngine
-from repro.engine.fingerprint import fingerprint, fingerprint_v2
+from repro.engine.engine import PortfolioEngine
+from repro.engine.fingerprint import fingerprint_v2
 from repro.engine.portfolio import Portfolio, PortfolioResult
-from repro.engine.protocol import SAT, UNKNOWN, UNSAT, Solver, SolverOutcome
+from repro.engine.protocol import (
+    SAT, UNKNOWN, UNSAT, Solver, SolveResponse, SolverOutcome,
+)
 from repro.engine.session import IncrementalSession
 
 __all__ = [
@@ -60,8 +63,6 @@ __all__ = [
     "DPLLAdapter",
     "DiskCache",
     "EngineConfig",
-    "EngineResult",
-    "EngineStats",
     "ExactILPAdapter",
     "HeuristicILPAdapter",
     "IncrementalSession",
@@ -70,6 +71,7 @@ __all__ = [
     "PortfolioResult",
     "SAT",
     "SolutionCache",
+    "SolveResponse",
     "Solver",
     "SolverConfig",
     "SolverOutcome",
@@ -78,6 +80,5 @@ __all__ = [
     "WalkSATAdapter",
     "build_adapter",
     "default_portfolio_configs",
-    "fingerprint",
     "fingerprint_v2",
 ]

@@ -22,25 +22,29 @@ Query path for ``engine.solve(formula, hint=previous_solution)``:
    trusted verdict (verified model, or UNSAT from a complete solver) is
    cached for the next query.
 
-Concurrency model (PR 7): the engine no longer serializes queries.
-Distinct fingerprints race *concurrently* over the portfolio's shared
-process pool — each race owns per-query
-:class:`~repro.engine.portfolio.RaceHandle` state, and a scheduler
-apportions pool workers between live races.  ``self.lock`` shrank to a
-narrow mutex guarding only shared mutable state with no thread-safety of
-its own: the :class:`EngineStats` counters (merged as per-query deltas
-after each solve), the cache's LRU order, and the in-flight table.  It
-is **never held across solver execution**.
+Every answer is one :class:`~repro.engine.protocol.SolveResponse`, and
+every query publishes its counter delta (the ``ENGINE_COUNTERS``) to
+the engine's :class:`~repro.obs.metrics.MetricsRegistry` in one
+``bump``: the registry is the only counter store, read back through
+:meth:`PortfolioEngine.counters`.  Its ``solver_calls`` counts actual
+solver launches, so tests and benchmarks can assert that steps 1-3
+never touched a solver.
 
-``EngineStats.solver_calls`` counts actual solver launches, so tests and
-benchmarks can assert that steps 1-3 never touched a solver.
+Concurrency model: the engine does not serialize queries.  Distinct
+fingerprints race *concurrently* over the portfolio's shared process
+pool — each race owns per-query
+:class:`~repro.engine.portfolio.RaceHandle` state, and a scheduler
+apportions pool workers between live races.  ``self.lock`` is a narrow
+mutex guarding only shared mutable state with no thread-safety of its
+own: the cache's LRU order and the in-flight table.  It is **never held
+across solver execution**.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro import faults
@@ -50,58 +54,9 @@ from repro.engine.cache import CacheBackend, SolutionCache
 from repro.engine.config import EngineConfig, SolverConfig
 from repro.engine.fingerprint import fingerprint_v2
 from repro.engine.portfolio import DEFAULT_QUICK_SLICE, Portfolio
-from repro.engine.protocol import SAT, UNSAT, SolverOutcome
+from repro.engine.protocol import SAT, UNSAT, SolveResponse
 from repro.obs import tracing
-from repro.obs.metrics import LATENCY_HISTOGRAM, MetricsRegistry
-
-
-@dataclass
-class EngineStats:
-    """Counters for one engine's lifetime.
-
-    Invariant (every query is answered exactly one way)::
-
-        solves == cache_hits + revalidations + races
-                  + batch_dedups + inflight_joins
-
-    The CDCL search-effort counters (``propagations``/``conflicts``/
-    ``restarts``) sit *outside* that invariant: they sum the structured
-    :attr:`~repro.engine.protocol.SolverOutcome.stats` of every racer
-    that reported any — solver effort spent, not queries answered —
-    so ``repro stats`` shows where search time went even with tracing
-    disabled.
-    """
-
-    solves: int = 0              # total queries answered (any path below)
-    cache_hits: int = 0          # answered from the fingerprint cache
-    revalidations: int = 0       # answered by revalidating the hint
-    races: int = 0               # portfolio races actually run
-    solver_calls: int = 0        # solver runs that actually started
-    batch_dedups: int = 0        # solve_many() queries answered intra-batch
-    inflight_joins: int = 0      # queries coalesced onto a concurrent twin
-    transport_bytes: int = 0     # wire payload bytes shipped to race workers
-    propagations: int = 0        # CDCL unit propagations across all racers
-    conflicts: int = 0           # CDCL conflicts across all racers
-    restarts: int = 0            # CDCL restarts across all racers
-
-    def snapshot(self) -> dict:
-        """A plain-dict copy of the counters (JSON-able, diffable).
-
-        The workload driver takes one snapshot before and one after a
-        run and reports the difference, so per-run cache/transport
-        counters survive on a long-lived shared engine.
-        """
-        return asdict(self)
-
-
-#: EngineStats fields a query delta may carry (and the metrics registry
-#: mirrors).  Deltas are accumulated lock-free per query, then merged
-#: into ``engine.stats`` in one short critical section.
-_DELTA_FIELDS = (
-    "solves", "cache_hits", "revalidations", "races", "solver_calls",
-    "batch_dedups", "inflight_joins", "transport_bytes",
-    "propagations", "conflicts", "restarts",
-)
+from repro.obs.metrics import ENGINE_COUNTERS, LATENCY_HISTOGRAM, MetricsRegistry
 
 
 @dataclass
@@ -114,41 +69,20 @@ class _InFlight:
     """
 
     event: threading.Event = field(default_factory=threading.Event)
-    result: "EngineResult | None" = None
+    result: SolveResponse | None = None
     error: BaseException | None = None
-    joiners: int = 0
     #: The leader's ``engine.solve`` span id (when tracing is live) —
     #: joiners tag their ``inflight.join`` spans with it so a coalesced
     #: request's trace points at the race that actually answered it.
     span_id: str | None = None
 
 
-@dataclass
-class EngineResult:
-    """What the engine returned for one query."""
-
-    status: str                  # "sat" | "unsat" | "unknown"
-    assignment: Assignment | None
-    fingerprint: str
-    source: str                  # "cache" | "revalidation" | "inflight-join" | winner | "portfolio"
-    wall_time: float
-    from_cache: bool = False
-    outcome: SolverOutcome | None = None
-    #: Name of the solver configuration that decided the race (None when
-    #: the answer came from the cache / hint revalidation, or when every
-    #: racer came back undecided).  Unlike ``source`` this survives
-    #: cancellation: a racer crossing the line during the post-deadline
-    #: drain window is still credited.
-    winner: str | None = None
-
-    @property
-    def satisfiable(self) -> bool | None:
-        """Tri-state satisfiability (None = undecided)."""
-        if self.status == SAT:
-            return True
-        if self.status == UNSAT:
-            return False
-        return None
+def _owned_copy(base: SolveResponse, **changes) -> SolveResponse:
+    """A copy of another query's answer that owns its model: callers
+    mutate assignments freely (flips, don't-care recovery) and must not
+    corrupt the original — the same invariant SolutionCache.get keeps."""
+    model = base.assignment.copy() if base.assignment is not None else None
+    return replace(base, assignment=model, from_cache=True, **changes)
 
 
 class PortfolioEngine:
@@ -170,11 +104,11 @@ class PortfolioEngine:
             or build either via :meth:`from_config`).
         quick_slice: lead-solver in-process budget, see
             :class:`~repro.engine.portfolio.Portfolio`.
-        metrics: a :class:`~repro.obs.metrics.MetricsRegistry` to
-            publish live counters and latency observations into (a
-            private one by default).  Unlike :attr:`stats`, the
-            registry has its own narrow lock, so samplers and ``repro
-            stats`` readers never queue behind a running race.
+        metrics: the :class:`~repro.obs.metrics.MetricsRegistry` that
+            holds this engine's counters and latency observations (a
+            private one by default).  It has its own narrow lock, so
+            samplers and ``repro stats`` readers never queue behind a
+            running race or the engine lock.
     """
 
     def __init__(
@@ -187,11 +121,10 @@ class PortfolioEngine:
     ):
         self.portfolio = Portfolio(configs=configs, jobs=jobs, quick_slice=quick_slice)
         self.cache = cache if cache is not None else SolutionCache()
-        self.stats = EngineStats()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Narrow mutex over shared mutable state that is not thread-safe
-        # by itself: EngineStats merges, the cache's LRU bookkeeping, and
-        # the in-flight table.  Never held while a solver (or the
+        # by itself: the cache's LRU bookkeeping and the in-flight
+        # table.  Never held while a solver (or the
         # portfolio) runs — concurrency across queries is the point.
         # RLock so legacy callers that wrapped engine calls in
         # ``with engine.lock:`` keep working.
@@ -219,17 +152,11 @@ class PortfolioEngine:
         )
 
     # ------------------------------------------------------------------
-    def _merge_delta(self, delta: dict) -> None:
-        """Fold one query's counter delta into the shared stats."""
-        with self.lock:
-            for key, value in delta.items():
-                if value:
-                    setattr(self.stats, key, getattr(self.stats, key) + value)
-
-    def stats_snapshot(self) -> dict:
-        """A consistent (non-torn) copy of :attr:`stats`."""
-        with self.lock:
-            return self.stats.snapshot()
+    def counters(self) -> dict:
+        """The engine counters (:data:`~repro.obs.metrics.ENGINE_COUNTERS`)
+        as one consistent copy out of the registry — each query is one
+        registry bump, so the ``solves == ...`` identity holds in it."""
+        return self.metrics.counters(ENGINE_COUNTERS)
 
     # ------------------------------------------------------------------
     def solve(
@@ -241,7 +168,7 @@ class PortfolioEngine:
         hint: Assignment | None = None,
         use_cache: bool = True,
         lead: str | None = None,
-    ) -> EngineResult:
+    ) -> SolveResponse:
         """Answer a satisfiability query: coalesce, then cache/hint/race.
 
         Args:
@@ -261,17 +188,13 @@ class PortfolioEngine:
         if use_cache:
             with self.lock:
                 flight = self._inflight.get(fp)
-                if flight is None:
-                    flight = _InFlight()
-                    self._inflight[fp] = flight
-                    leader = True
-                else:
-                    flight.joiners += 1
-                    leader = False
+                leader = flight is None
+                if leader:
+                    flight = self._inflight[fp] = _InFlight()
             if not leader:
                 return self._join(flight, fp, t0)
 
-        delta = dict.fromkeys(_DELTA_FIELDS, 0)
+        delta = dict.fromkeys(ENGINE_COUNTERS, 0)
         try:
             with tracing.stage("engine.solve") as sp:
                 if sp is not None and flight is not None:
@@ -287,7 +210,6 @@ class PortfolioEngine:
             self._finish_flight(fp, flight, None, exc)
             raise
         self._finish_flight(fp, flight, result, None)
-        self._merge_delta(delta)
         # Published OUTSIDE the engine lock: the registry's own narrow
         # lock is the only thing a live reader contends with.
         self.metrics.bump(
@@ -296,7 +218,7 @@ class PortfolioEngine:
         )
         return result
 
-    def _join(self, flight: _InFlight, fp: str, t0: float) -> EngineResult:
+    def _join(self, flight: _InFlight, fp: str, t0: float) -> SolveResponse:
         """Park on a concurrent identical query and copy its answer."""
         # The stage covers the whole park: its duration IS the time this
         # request spent waiting on the leader's race.  The leader tag is
@@ -310,32 +232,18 @@ class PortfolioEngine:
             raise flight.error
         base = flight.result
         wall = time.perf_counter() - t0
-        self._merge_delta({"solves": 1, "inflight_joins": 1})
         self.metrics.bump(
             counts={"solves": 1, "inflight_joins": 1},
             observe={LATENCY_HISTOGRAM: wall},
         )
-        return replace(
-            base,
-            # Each joiner owns its model: callers mutate assignments
-            # freely (flips, don't-care recovery) and must not corrupt
-            # the leader's copy — the same invariant SolutionCache.get
-            # keeps.  The raw SolverOutcome stays with the leader for the
-            # same reason.
-            assignment=(
-                base.assignment.copy() if base.assignment is not None else None
-            ),
-            source="inflight-join",
-            from_cache=True,
-            outcome=None,
-            wall_time=wall,
-        )
+        # The race's diagnostics stay with the leader.
+        return _owned_copy(base, source="inflight-join", wall_time=wall, detail="")
 
     def _finish_flight(
         self,
         fp: str,
         flight: _InFlight | None,
-        result: "EngineResult | None",
+        result: SolveResponse | None,
         error: BaseException | None,
     ) -> None:
         """Retire the in-flight entry and release any parked joiners."""
@@ -359,11 +267,11 @@ class PortfolioEngine:
         lead: str | None,
         delta: dict,
         t0: float,
-    ) -> EngineResult:
+    ) -> SolveResponse:
         """The hint -> cache -> race pipeline (leader path).
 
-        Counter changes go into *delta* (merged by the caller in one
-        critical section); ``self.lock`` is taken only around individual
+        Counter changes go into *delta* (published by the caller in one
+        registry bump); ``self.lock`` is taken only around individual
         cache operations, never across solving.
         """
         delta["solves"] += 1
@@ -382,8 +290,9 @@ class PortfolioEngine:
                         self.cache.put(fp, True, model, solver="revalidation")
                 if sp is not None:
                     sp.tags["tier"] = "revalidation"
-                return EngineResult(
-                    SAT, model, fp, "revalidation", time.perf_counter() - t0
+                return SolveResponse(
+                    SAT, assignment=model, fingerprint=fp,
+                    source="revalidation", wall_time=time.perf_counter() - t0,
                 )
 
             if use_cache:
@@ -394,17 +303,18 @@ class PortfolioEngine:
                         delta["cache_hits"] += 1
                         if sp is not None:
                             sp.tags["tier"] = "hit-sat"
-                        return EngineResult(
-                            SAT, entry.assignment, fp, "cache",
-                            time.perf_counter() - t0, from_cache=True,
+                        return SolveResponse(
+                            SAT, assignment=entry.assignment, fingerprint=fp,
+                            source="cache", wall_time=time.perf_counter() - t0,
+                            from_cache=True,
                         )
                     if not entry.satisfiable:
                         delta["cache_hits"] += 1
                         if sp is not None:
                             sp.tags["tier"] = "hit-unsat"
-                        return EngineResult(
-                            UNSAT, None, fp, "cache",
-                            time.perf_counter() - t0, from_cache=True,
+                        return SolveResponse(
+                            UNSAT, fingerprint=fp, source="cache",
+                            wall_time=time.perf_counter() - t0, from_cache=True,
                         )
                     # A cached model that no longer verifies means a hash
                     # collision or an upstream bug; drop it and fall through.
@@ -441,14 +351,14 @@ class PortfolioEngine:
                     fp, outcome.status == SAT, outcome.assignment,
                     solver=outcome.solver,
                 )
-        return EngineResult(
+        return SolveResponse(
             outcome.status,
-            outcome.assignment,
-            fp,
-            result.winner or "portfolio",
-            time.perf_counter() - t0,
-            outcome=outcome,
+            assignment=outcome.assignment,
+            fingerprint=fp,
+            source=result.winner or "portfolio",
             winner=result.winner,
+            wall_time=time.perf_counter() - t0,
+            detail=outcome.detail,
         )
 
     # ------------------------------------------------------------------
@@ -460,7 +370,7 @@ class PortfolioEngine:
         seed: int | None = None,
         use_cache: bool = True,
         lead: str | None = None,
-    ) -> list[EngineResult]:
+    ) -> list[SolveResponse]:
         """Answer a batch of queries with one pool warm-up and batch dedup.
 
         Bench sweeps and offline workloads hand over whole directories of
@@ -468,8 +378,8 @@ class PortfolioEngine:
         (lazily started) worker pool and fingerprint cache across the
         batch, and this entry point additionally deduplicates by fp-v2
         fingerprint *within the batch*: repeats of an instance reuse the
-        already-computed :class:`EngineResult` directly (``source=
-        "batch-dedup"``), skipping even the cache round trip and its
+        already-computed response directly (``source="batch-dedup"``),
+        skipping even the cache round trip and its
         O(clauses) revalidation.  The pool spins up at most once, on the
         first query that actually fans out — easy batches decided by the
         quick slice never pay process-spawn latency.
@@ -484,37 +394,19 @@ class PortfolioEngine:
             deadline/seed/use_cache/lead: forwarded to :meth:`solve`.
 
         Returns:
-            One :class:`EngineResult` per formula, in input order.
+            One :class:`~repro.engine.protocol.SolveResponse` per
+            formula, in input order.
         """
         formulas = list(formulas)
-        results: list[EngineResult] = []
+        results: list[SolveResponse] = []
         first_by_fp: dict[str, int] = {}
         for formula in formulas:
             fp = fingerprint_v2(formula)
             prior = first_by_fp.get(fp)
             if prior is not None:
-                # Merged + mirrored OUTSIDE any engine-wide lock (there is
-                # none left to hold): stats under the narrow mutex, the
-                # registry under its own.
-                self._merge_delta({"solves": 1, "batch_dedups": 1})
                 self.metrics.bump(counts={"solves": 1, "batch_dedups": 1})
-                first = results[prior]
                 results.append(
-                    replace(
-                        first,
-                        # Each result owns its model: callers mutate
-                        # assignments freely (flips, don't-care recovery)
-                        # and must not corrupt their batch siblings —
-                        # the same invariant SolutionCache.get keeps.
-                        assignment=(
-                            first.assignment.copy()
-                            if first.assignment is not None
-                            else None
-                        ),
-                        source="batch-dedup",
-                        from_cache=True,
-                        wall_time=0.0,
-                    )
+                    _owned_copy(results[prior], source="batch-dedup", wall_time=0.0)
                 )
                 continue
             result = self.solve(

@@ -1,14 +1,15 @@
-"""Canonical, content-addressed CNF formula fingerprints.
+"""Canonical, content-addressed CNF formula fingerprints (fp-v2).
 
 The solution cache must recognize "the same instance" across sessions,
 clause reorderings, literal reorderings, and duplicated clauses — all of
 which are artifacts of how a formula was built, not of what it means.  The
-fingerprint therefore hashes the *normalized clause set*:
+fingerprint therefore digests the *normalized clause set*:
 
 * each clause contributes its literal tuple (already deduplicated and
   order-normalized by :class:`~repro.cnf.clause.Clause`);
-* the clause collection is deduplicated and sorted, so neither clause
-  order nor multiplicity matters;
+* the clause collection is deduplicated, and the per-clause digests are
+  combined order-independently, so neither clause order nor
+  multiplicity matters;
 * free variables (active but occurring in no clause) are excluded: they
   are don't-cares and cannot affect satisfiability, which also makes the
   fingerprint stable under the DIMACS round-trip (the format cannot
@@ -18,20 +19,15 @@ Two formulas with equal fingerprints are satisfied by exactly the same
 assignments over their clause variables, so a cached model for one is a
 model for the other.
 
-Two digest versions coexist:
-
-* **fp-v1** (:func:`fingerprint`) — the original sort-then-SHA-256 over
-  the whole normalized clause set, O(n log n) per call, now memoized on
-  the formula with dirty-flag invalidation;
-* **fp-v2** (:func:`fingerprint_v2`) — an order-independent 2048-bit
-  combine of per-clause SHAKE-256 digests (see
-  :mod:`repro.cnf.packed` for the collision-resistance rationale)
-  maintained *incrementally* by the formula's packed kernel: each EC
-  edit updates the running digest in O(changed clauses), so
-  re-fingerprinting along a change chain is O(1) per query.
-  The v1 invariants (clause order, multiplicity, free variables, DIMACS
-  round-trip) all carry over; the two versions tag their digests
-  differently and never collide.  The engine keys its cache with fp-v2.
+fp-v2 is a 2048-bit modular sum of per-clause SHAKE-256 digests (see
+:mod:`repro.cnf.packed` for the collision-resistance rationale),
+maintained *incrementally* by the formula's packed kernel: each EC edit
+updates the running digest in O(changed clauses), so re-fingerprinting
+along a change chain is O(1) per query.  :func:`fingerprint_v2_scratch`
+recomputes it from the clause objects — the incremental path's oracle
+and the from-scratch baseline of ``repro bench engine``.  The digest is
+tagged with its version, so a future normalization change invalidates
+old (e.g. disk-cached) fingerprints instead of colliding with them.
 """
 
 from __future__ import annotations
@@ -41,57 +37,20 @@ import hashlib
 from repro.cnf.formula import CNFFormula
 from repro.cnf.packed import FP2_VERSION, _DIGEST_BYTES, _DIGEST_MOD, clause_digest
 
-#: Version tag mixed into every v1 digest so a future normalization change
-#: invalidates old fingerprints instead of silently colliding with them.
-_VERSION = b"repro-cnf-fp-v1"
-
-
-def normalized_clauses(formula: CNFFormula) -> tuple[tuple[int, ...], ...]:
-    """The canonical clause-set form the fingerprint hashes.
-
-    A sorted tuple of distinct literal tuples; the empty clause (from
-    variable elimination) is kept — it makes the instance unsatisfiable
-    and must be distinguished.  Memoized on the formula (EC edits
-    invalidate the memo).
-    """
-    cached = formula._normalized_cache
-    if cached is None:
-        cached = tuple(sorted({cl.literals for cl in formula.clauses}))
-        formula._normalized_cache = cached
-    return cached
-
-
-def fingerprint(formula: CNFFormula) -> str:
-    """Hex SHA-256 fp-v1 fingerprint of *formula*'s normalized clause set.
-
-    Invariants (property-tested in ``tests/engine/test_fingerprint.py``):
-
-    * permuting clauses or literals never changes the fingerprint;
-    * duplicate clauses never change the fingerprint;
-    * ``fingerprint(parse_dimacs(to_dimacs(f))) == fingerprint(f)``.
-
-    Memoized on the formula: repeated calls between EC edits are O(1).
-    """
-    cached = formula._fingerprint_cache
-    if cached is None:
-        h = hashlib.sha256(_VERSION)
-        for lits in normalized_clauses(formula):
-            h.update(b"|")
-            h.update(",".join(map(str, lits)).encode("ascii"))
-        cached = h.hexdigest()
-        formula._fingerprint_cache = cached
-    return cached
-
 
 def fingerprint_v2(formula: CNFFormula) -> str:
     """Hex fp-v2 fingerprint, served from the incremental digest state.
 
     The first call on a formula builds the packed kernel's per-clause
     digest multiset in O(clauses); afterwards every EC edit maintains it
-    in O(changed clauses), so a change chain pays O(1) per re-query
-    instead of a full re-sort + re-hash.  Satisfies the same invariants
-    as fp-v1 (verified against :func:`fingerprint_v2_scratch` by the
-    property suite).
+    in O(changed clauses), so a change chain pays O(1) per re-query.
+
+    Invariants (property-tested in ``tests/engine/test_fingerprint.py``
+    against :func:`fingerprint_v2_scratch`):
+
+    * permuting clauses or literals never changes the fingerprint;
+    * duplicate clauses never change the fingerprint;
+    * ``fingerprint_v2(parse_dimacs(to_dimacs(f))) == fingerprint_v2(f)``.
     """
     return formula.packed().fingerprint()
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import signal
 import threading
 import time
 from concurrent.futures import (
@@ -75,8 +76,15 @@ _CANCEL_SLOTS = None
 
 
 def _init_worker(cancel_slots) -> None:
-    """Pool initializer: adopt the shared per-race cancellation slots."""
+    """Pool initializer: adopt the shared per-race cancellation slots.
+
+    Also restores SIGTERM's default action.  A forked worker inherits its
+    parent's handlers, and ``repro serve`` handles SIGTERM as "drain";
+    a worker that kept that handler would ignore the ``terminate()``
+    with which the pool is torn down.
+    """
     global _CANCEL_SLOTS
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _CANCEL_SLOTS = cancel_slots
 
 
@@ -87,34 +95,6 @@ def _slot_cancelled(slot) -> bool:
     return _CANCEL_SLOTS[slot].is_set()
 
 
-def run_config(
-    config: SolverConfig,
-    formula: CNFFormula,
-    *,
-    deadline: float | None = None,
-    seed: int | None = None,
-    hint: Assignment | None = None,
-) -> SolverOutcome:
-    """Run one configuration, mapping any crash to an ``unknown`` outcome.
-
-    The effective solver seed is ``(seed or 0) + config.seed_offset`` so a
-    single race seed still diversifies identical adapters.
-    """
-    t0 = time.perf_counter()
-    try:
-        adapter = config.build()
-        return adapter.solve(
-            formula,
-            deadline=deadline,
-            seed=(0 if seed is None else seed) + config.seed_offset,
-            hint=hint,
-        )
-    except Exception as exc:  # a crashed racer must not kill the race
-        return SolverOutcome(
-            UNKNOWN, None, config.name, time.perf_counter() - t0, f"error: {exc!r}"
-        )
-
-
 def run_packed(
     config: SolverConfig,
     packed: PackedCNF,
@@ -123,11 +103,15 @@ def run_packed(
     seed: int | None = None,
     hint: Assignment | None = None,
 ) -> SolverOutcome:
-    """Run one configuration on a packed kernel.
+    """Run one configuration on a packed kernel — the one racer entry,
+    in pool workers and in-process alike.
 
     Adapters with a ``solve_packed`` entry point consume the flat arrays
     directly; the rest (brute force, the ILP routes) get a materialized
-    formula.  Crashes map to ``unknown`` exactly as in :func:`run_config`.
+    formula.  Any crash maps to an ``unknown`` outcome: a crashed racer
+    must not kill the race.  The effective solver seed is
+    ``(seed or 0) + config.seed_offset`` so a single race seed still
+    diversifies identical adapters.
     """
     t0 = time.perf_counter()
     try:
@@ -595,6 +579,9 @@ class Portfolio:
                 configs = promoted + [c for c in configs if c.name != lead]
         outcomes: list[SolverOutcome] = []
         launched = 0
+        # Every racer, in-process or pooled, runs on the formula's cached
+        # packed kernel; pool workers get its wire bytes.
+        packed = formula.packed()
 
         # Phase 1: in-process quick slice on the lead configuration.
         if self.quick_slice > 0:
@@ -604,8 +591,8 @@ class Portfolio:
             first = configs[0]
             launched += 1
             with tracing.stage("quick_slice", solver=first.name) as sp:
-                out = run_config(
-                    first, formula, deadline=slice_budget, seed=seed, hint=hint
+                out = run_packed(
+                    first, packed, deadline=slice_budget, seed=seed, hint=hint
                 )
                 if sp is not None:
                     sp.tags["status"] = out.status
@@ -631,8 +618,8 @@ class Portfolio:
                         break
                 launched += 1
                 with tracing.stage("solve", solver=config.name) as sp:
-                    out = run_config(
-                        config, formula, deadline=remaining, seed=seed, hint=hint
+                    out = run_packed(
+                        config, packed, deadline=remaining, seed=seed, hint=hint
                     )
                     if sp is not None:
                         sp.tags["status"] = out.status
@@ -647,11 +634,10 @@ class Portfolio:
                 time.perf_counter() - t0, outcomes, executed=launched,
             )
 
-        # Ship the packed kernel's raw bytes to every worker: building the
-        # payload is one call on the formula's cached kernel, and each
-        # worker pays two array copies instead of unpickling an object
-        # graph of clause instances.
-        payload = formula.packed().to_bytes()
+        # Ship the packed kernel's raw bytes to every worker: each worker
+        # pays two array copies instead of unpickling an object graph of
+        # clause instances.
+        payload = packed.to_bytes()
         handle = self._begin_race()
         pending: set[Future] = set()
         winner: SolverOutcome | None = None
@@ -785,8 +771,8 @@ class Portfolio:
             if solo_budget is None or solo_budget > 0.0:
                 first = configs[0]
                 launched += 1
-                out = run_config(
-                    first, formula, deadline=solo_budget, seed=seed, hint=hint
+                out = run_packed(
+                    first, packed, deadline=solo_budget, seed=seed, hint=hint
                 )
                 outcomes.append(out)
                 with self._lock:

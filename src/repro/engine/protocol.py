@@ -16,11 +16,16 @@ this module fixes one contract:
 * a ``sat`` outcome always carries a *verified* model; ``unsat`` may only
   be produced by a complete solver that proved it; everything else
   (budget exhausted, deadline hit, solver error) is ``unknown``.
+
+:class:`SolverOutcome` is what one solver run produced;
+:class:`SolveResponse` is what a query was answered with.  The engine
+returns ``SolveResponse`` and the service hands it on unchanged
+(:mod:`repro.service.requests` re-exports it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
 from repro.cnf.assignment import Assignment
@@ -45,8 +50,8 @@ class SolverOutcome:
         stats: optional structured search-effort counters (e.g. CDCL's
             ``propagations``/``conflicts``/``restarts``) — machine-
             readable where ``detail`` is free-form.  Crosses the worker
-            process boundary with the outcome, feeds ``EngineStats``
-            aggregation and solve-span annotations; ``None`` from
+            process boundary with the outcome, feeds the engine's
+            search-effort counters and solve-span annotations; ``None`` from
             solvers that do not count anything.
     """
 
@@ -65,6 +70,50 @@ class SolverOutcome:
     def __post_init__(self):
         if self.status not in (SAT, UNSAT, UNKNOWN):
             raise ValueError(f"invalid solver status {self.status!r}")
+
+
+@dataclass(frozen=True)
+class SolveResponse:
+    """The uniform answer to a query, a solve request, or a change request.
+
+    ``status`` is tri-state (``"sat"`` / ``"unsat"`` / ``"unknown"``);
+    ``source`` names what answered (``cache``, ``revalidation``,
+    ``inflight-join``, ``batch-dedup``, a winning solver, ...),
+    ``winner`` the racer credited with a decided race (even one crossing
+    the line in the post-deadline drain window), ``detail`` the deciding
+    outcome's diagnostics, and ``regime`` the §5 classification of the
+    change batch that triggered a re-solve (change responses only).
+    """
+
+    status: str
+    assignment: Assignment | None = None
+    fingerprint: str = ""
+    source: str = ""
+    winner: str | None = None
+    wall_time: float = 0.0
+    from_cache: bool = False
+    session: str | None = None
+    regime: str = ""
+    detail: str = ""
+
+    @property
+    def satisfiable(self) -> bool | None:
+        """Tri-state satisfiability (None = undecided)."""
+        if self.status == SAT:
+            return True
+        if self.status == UNSAT:
+            return False
+        return None
+
+    def with_context(self, *, session: str | None = None,
+                     regime: str | None = None) -> "SolveResponse":
+        """Copy with session/regime context filled in."""
+        updates: dict = {}
+        if session is not None:
+            updates["session"] = session
+        if regime is not None:
+            updates["regime"] = regime
+        return replace(self, **updates) if updates else self
 
 
 @runtime_checkable

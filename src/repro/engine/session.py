@@ -45,11 +45,10 @@ from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.core.change import ChangeSet
 from repro.engine.engine import PortfolioEngine
-from repro.engine.protocol import SAT, UNSAT
+from repro.engine.protocol import SAT, UNSAT, SolveResponse
 from repro.errors import ECError
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (cycle guard)
-    from repro.service.requests import SolveResponse
     from repro.service.service import SolverService
 
 
@@ -142,7 +141,7 @@ class IncrementalSession:
     @property
     def solver_calls(self) -> int:
         """Solver runs the engine launched (shared across tenants)."""
-        return self.engine.stats.solver_calls
+        return self.engine.counters()["solver_calls"]
 
     # ------------------------------------------------------------------
     def query(
@@ -152,7 +151,7 @@ class IncrementalSession:
         seed: int | None = None,
         use_cache: bool = True,
         lead: str | None = None,
-    ) -> "SolveResponse":
+    ) -> SolveResponse:
         """Full engine query of the current specification (non-raising).
 
         The serving-layer primitive: UNSAT/undecided come back as a
@@ -202,7 +201,7 @@ class IncrementalSession:
 
     def resolve_query(
         self, *, deadline: float | None = None, seed: int | None = None
-    ) -> "SolveResponse":
+    ) -> SolveResponse:
         """Re-solve after :meth:`apply_changes` (non-raising).
 
         Loosening-only batches are answered by revalidating the current
@@ -214,54 +213,47 @@ class IncrementalSession:
             ECError: without a starting solution (the §5 policy is
                 defined relative to one).
         """
-        from repro.service.requests import SolveResponse
-
         with self.lock:
-            return self._resolve_query_locked(
-                SolveResponse, deadline=deadline, seed=seed
+            if self.assignment is None:
+                raise ECError("no starting solution; call solve() first")
+            regime = self._pending_regime
+            # §5 fast path: loosening changes (clause removal, variable
+            # addition) provably keep the solution valid, so an
+            # all-loosening chain resolves in O(1) — no check, no
+            # fingerprint, no solver.  Tightening may or may not have
+            # broken the solution; there an O(clauses) revalidation is
+            # still far cheaper than any solver.
+            survived = (
+                not self._tightening_pending
+                or self.formula.is_satisfied(self.assignment)
             )
-
-    def _resolve_query_locked(
-        self, SolveResponse, *, deadline: float | None, seed: int | None
-    ) -> "SolveResponse":
-        if self.assignment is None:
-            raise ECError("no starting solution; call solve() first")
-        regime = self._pending_regime
-        # §5 fast path: loosening changes (clause removal, variable
-        # addition) provably keep the solution valid, so an all-loosening
-        # chain resolves in O(1) — no check, no fingerprint, no solver.
-        # Tightening may or may not have broken the solution; there an
-        # O(clauses) revalidation is still far cheaper than any solver.
-        survived = not self._tightening_pending or self.formula.is_satisfied(
-            self.assignment
-        )
-        if survived:
-            self._tightening_pending = False
-            self.revalidations += 1
+            if survived:
+                self._tightening_pending = False
+                self.revalidations += 1
+                self.history.append(
+                    SessionStep("resolve", regime=regime, source="revalidation")
+                )
+                self._pending_regime = ""
+                return SolveResponse(
+                    SAT, assignment=self.assignment, source="revalidation",
+                    regime=regime,
+                )
+            response = self._service.query(
+                self.formula, deadline=deadline, seed=seed,
+                hint=self.assignment, lead="cdcl",
+            )
+            if response.status == SAT:
+                # Only a satisfiable answer settles the pending
+                # tightening: after an UNSAT/undecided response the
+                # stored solution is still suspect, and a later resolve
+                # must re-check it rather than serve it as valid.
+                self.assignment = response.assignment
+                self._tightening_pending = False
+                self._pending_regime = ""
             self.history.append(
-                SessionStep("resolve", regime=regime, source="revalidation")
+                SessionStep("resolve", regime=regime, source=response.source)
             )
-            self._pending_regime = ""
-            return SolveResponse(
-                SAT, assignment=self.assignment, source="revalidation",
-                regime=regime,
-            )
-        response = self._service.query(
-            self.formula, deadline=deadline, seed=seed, hint=self.assignment,
-            lead="cdcl",
-        )
-        if response.status == SAT:
-            # Only a satisfiable answer settles the pending tightening:
-            # after an UNSAT/undecided response the stored solution is
-            # still suspect, and a later resolve must re-check it rather
-            # than serve it as valid.
-            self.assignment = response.assignment
-            self._tightening_pending = False
-            self._pending_regime = ""
-        self.history.append(
-            SessionStep("resolve", regime=regime, source=response.source)
-        )
-        return response.with_context(regime=regime)
+            return response.with_context(regime=regime)
 
     def resolve(
         self, *, deadline: float | None = None, seed: int | None = None
@@ -275,7 +267,7 @@ class IncrementalSession:
         return self._accept(self.resolve_query(deadline=deadline, seed=seed))
 
     # ------------------------------------------------------------------
-    def _accept(self, response: "SolveResponse") -> Assignment:
+    def _accept(self, response: SolveResponse) -> Assignment:
         if response.status == SAT:
             return response.assignment
         if response.status == UNSAT:

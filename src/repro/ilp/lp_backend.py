@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-from scipy.optimize import milp
 
 from repro.ilp.simplex import simplex_solve
 from repro.ilp.status import SolveStatus
@@ -92,6 +91,10 @@ class ScipyBackend:
     name = "scipy-highs"
 
     def solve(self, c, a_ub, b_ub, a_eq, b_eq, bounds) -> LPResult:
+        # Imported on first use: scipy costs every process that imports
+        # repro about half a second, and serving never solves an LP.
+        from scipy.optimize import milp
+
         rows = []
         if _has_rows(a_ub, b_ub):
             rows.append((a_ub, -np.inf, b_ub))

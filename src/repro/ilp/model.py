@@ -8,15 +8,17 @@ consume, and can verify candidate solutions.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ModelError
 from repro.ilp.constraint import Constraint, Sense
 from repro.ilp.expr import LinExpr, Operand
 from repro.ilp.variable import VarType, Variable
+
+if TYPE_CHECKING:  # pragma: no cover - scipy is imported on first use
+    import scipy.sparse as sp
 
 
 class ObjectiveSense:
@@ -164,6 +166,8 @@ class ILPModel:
         self,
     ) -> tuple[sp.csr_matrix, np.ndarray, sp.csr_matrix, np.ndarray]:
         """Sparse (A_ub, b_ub, A_eq, b_eq) with GE rows negated into LE."""
+        import scipy.sparse as sp
+
         rows_ub: list[int] = []
         cols_ub: list[int] = []
         data_ub: list[float] = []

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.ilp.status import SolveStatus
 
@@ -45,7 +44,7 @@ class SimplexResult:
 def _as_dense(a) -> np.ndarray:
     if a is None:
         return np.zeros((0, 0))
-    if sp.issparse(a):
+    if hasattr(a, "toarray"):     # a scipy.sparse matrix
         return a.toarray()
     return np.asarray(a, dtype=float)
 

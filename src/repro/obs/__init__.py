@@ -8,8 +8,8 @@ running daemon introspectable —
   histograms (mergeable, diffable, JSON-able bucket arrays);
 * :mod:`repro.obs.timeseries` — rrd-style fixed-memory per-second ring
   buffers;
-* :mod:`repro.obs.metrics`    — the narrow-lock :class:`MetricsRegistry`
-  the engine and service publish into, plus the frame diffing behind
+* :mod:`repro.obs.metrics`    — the narrow-lock :class:`MetricsRegistry`,
+  the one store of the engine's and service's counters, plus the frame diffing behind
   ``repro stats --watch`` and the daemon's :class:`StatsMonitor`;
 * :mod:`repro.obs.tracing`    — end-to-end distributed tracing: a W3C-
   shaped trace context riding the frame header, per-hop spans, JSONL
@@ -18,6 +18,7 @@ running daemon introspectable —
 
 from repro.obs.histogram import LatencyHistogram
 from repro.obs.metrics import (
+    ENGINE_COUNTERS,
     FRAME_COUNTERS,
     LATENCY_HISTOGRAM,
     FrameTracker,
@@ -30,6 +31,7 @@ from repro.obs.timeseries import RingSeries
 from repro.obs.tracing import Span, TraceContext, Tracer
 
 __all__ = [
+    "ENGINE_COUNTERS",
     "FRAME_COUNTERS",
     "FrameTracker",
     "LATENCY_HISTOGRAM",

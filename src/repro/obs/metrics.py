@@ -1,13 +1,10 @@
-"""Live metrics: a narrow-lock registry, frame diffing, and the monitor.
+"""Live metrics: the one counter store, frame diffing, and the monitor.
 
-The engine's :class:`~repro.engine.engine.EngineStats` counters are
-merged under the engine's narrow stats lock — consistent, but a live
-reader should not touch engine internals at all.  The observability
-layer instead has the hot paths publish **per-query deltas** into a
-:class:`MetricsRegistry` guarded by its own narrow lock (one
-acquisition per query, dict adds inside), so samplers and ``stats``
-readers never contend with solving — including the concurrent
-distinct-fingerprint races the engine runs since PR 7.
+The :class:`MetricsRegistry` is the only store of engine and service
+counters.  Hot paths publish **per-query deltas** into it under its own
+narrow lock (one acquisition per query, dict adds inside), so samplers
+and ``stats`` readers never contend with solving, and every reader
+reports each count from this one source.
 
 Three layers stack on the registry:
 
@@ -21,8 +18,8 @@ Three layers stack on the registry:
   fight over a shared cursor;
 * :class:`StatsMonitor`   — the daemon's background sampler: one frame
   per second into an rrd-style :class:`~repro.obs.timeseries.RingSeries`,
-  plus the one-shot frame (windowed rates over the recent past) behind
-  ``repro stats --json``.
+  plus the one-shot frame (windowed rates over the recent past, up to
+  the instant of the call) behind ``repro stats --json``.
 """
 
 from __future__ import annotations
@@ -33,23 +30,27 @@ import time
 from repro.obs.histogram import LatencyHistogram
 from repro.obs.timeseries import RingSeries
 
-#: The engine/service counters a frame reports as per-interval deltas.
-FRAME_COUNTERS = (
-    "requests",
-    "solves",
-    "cache_hits",
-    "revalidations",
-    "races",
-    "solver_calls",
-    "batch_dedups",
-    "inflight_joins",
-    "errors",
-    # CDCL search-effort counters (mirrored from EngineStats deltas):
-    # where solver time went, not how many queries were answered.
-    "propagations",
-    "conflicts",
-    "restarts",
+#: The engine's counters.  Each query bumps them once, so ``solves ==
+#: cache_hits + revalidations + races + batch_dedups + inflight_joins``
+#: holds in every registry snapshot; the CDCL effort counters sum every
+#: racer's stats — where solver time went, not queries answered.
+ENGINE_COUNTERS = (
+    "solves",           # total queries answered (any path below)
+    "cache_hits",       # answered from the fingerprint cache
+    "revalidations",    # answered by revalidating the hint
+    "races",            # portfolio races actually run
+    "solver_calls",     # solver runs that actually started
+    "batch_dedups",     # solve_many() queries answered intra-batch
+    "inflight_joins",   # queries coalesced onto a concurrent twin
+    "transport_bytes",  # wire payload bytes shipped to race workers
+    "propagations",     # CDCL unit propagations across all racers
+    "conflicts",        # CDCL conflicts across all racers
+    "restarts",         # CDCL restarts across all racers
 )
+
+#: The counters a frame reports as per-interval deltas: the service's
+#: front-door ``requests``/``errors`` plus every engine counter.
+FRAME_COUNTERS = ("requests", "errors") + ENGINE_COUNTERS
 
 #: The histogram every solve latency lands in.
 LATENCY_HISTOGRAM = "solve_latency"
@@ -128,6 +129,12 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, 0)
 
+    def counters(self, names) -> dict:
+        """The named counters in one acquisition (0 for a name never
+        bumped) — a consistent view that copies no histogram."""
+        with self._lock:
+            return {name: self._counters.get(name, 0) for name in names}
+
     def gauge(self, name: str) -> float:
         with self._lock:
             return self._gauges.get(name, 0.0)
@@ -176,15 +183,19 @@ class FrameTracker:
         self._prev_counters = counters
         self._prev_hist = hists.get(LATENCY_HISTOGRAM, LatencyHistogram())
 
+    def tail(self, counters: dict, now: float) -> tuple[dict, float]:
+        """Frame counter deltas of *counters* since the previous frame,
+        and the seconds from that frame to *now*."""
+        prev = self._prev_counters
+        deltas = {n: counters.get(n, 0) - prev.get(n, 0) for n in FRAME_COUNTERS}
+        return deltas, now - self._prev_t
+
     def frame(self) -> dict:
         """One per-interval frame since the previous call (or birth)."""
         now = time.monotonic()
         counters, gauges, hists = self.registry.raw()
-        dt = max(now - self._prev_t, 1e-9)
-        deltas = {
-            name: counters.get(name, 0) - self._prev_counters.get(name, 0)
-            for name in FRAME_COUNTERS
-        }
+        deltas, dt = self.tail(counters, now)
+        dt = max(dt, 1e-9)
         hist = hists.get(LATENCY_HISTOGRAM, LatencyHistogram())
         interval_hist = hist.diff(self._prev_hist)
         self._prev_t = now
@@ -249,12 +260,7 @@ class StatsMonitor:
     burst's rps instead of the idle instant's zero.
     """
 
-    FIELDS = (
-        "requests", "solves", "cache_hits", "revalidations", "races",
-        "solver_calls", "batch_dedups", "inflight_joins", "errors",
-        "propagations", "conflicts", "restarts",
-        "inflight", "queued", "sessions", "p50", "p99",
-    )
+    FIELDS = FRAME_COUNTERS + ("inflight", "queued", "sessions", "p50", "p99")
 
     def __init__(
         self,
@@ -269,6 +275,9 @@ class StatsMonitor:
         self.interval = float(interval)
         self.series = RingSeries(self.FIELDS, slots=slots, step=self.interval)
         self._tracker = FrameTracker(registry)
+        # A tick (cursor + ring row) and a one-shot frame never
+        # interleave, so ring rows and tail never overlap or leave a gap.
+        self._lock = threading.Lock()
         #: Monitor birth (monotonic) — the uptime epoch every frame and
         #: watch subscriber reports against.
         self.t0 = time.monotonic()
@@ -300,16 +309,22 @@ class StatsMonitor:
     def sample(self) -> dict:
         """Take one sample row now (the thread's tick; callable directly
         from tests for clock-independent coverage)."""
-        frame = self._tracker.frame()
-        row = {f: frame.get(f, 0) for f in self.FIELDS if f not in ("p50", "p99")}
-        row["p50"] = frame["latency"]["p50"]
-        row["p99"] = frame["latency"]["p99"]
-        self.series.put(time.time(), row)
+        with self._lock:
+            frame = self._tracker.frame()
+            row = {f: frame.get(f, 0) for f in self.FIELDS if f not in ("p50", "p99")}
+            row["p50"] = frame["latency"]["p50"]
+            row["p99"] = frame["latency"]["p99"]
+            self.series.put(time.time(), row)
         return frame
 
     # ------------------------------------------------------------------
     def snapshot_frame(self, *, window: float | None = 60.0, recent: int = 0) -> dict:
         """The one-shot frame: windowed rates + lifetime aggregates.
+
+        The rates cover the ring's completed rows plus the *tail*: what
+        the registry counted since the last tick.  The span grows by the
+        time since that tick only when the tail holds events, so an idle
+        tail never dilutes the rate of the rows before it.
 
         Args:
             window: trailing seconds of ring history folded into the
@@ -317,15 +332,20 @@ class StatsMonitor:
             recent: include this many raw per-second rows under
                 ``"series"`` (0 = omit; the CLI's sparkline feed).
         """
-        totals = self.series.totals(window)
-        span = max(totals.get("span", 0.0), self.interval)
-        deltas = {name: totals.get(name, 0) for name in FRAME_COUNTERS}
-        _counters, gauges, hists = self.registry.raw()
+        with self._lock:
+            totals = self.series.totals(window)
+            counters, gauges, hists = self.registry.raw()
+            tail, since_tick = self._tracker.tail(counters, time.monotonic())
+        span = totals.get("span", 0.0)
+        if any(tail.values()):
+            span += since_tick
+        span = max(span, self.interval)
+        deltas = {name: totals.get(name, 0) + tail[name] for name in FRAME_COUNTERS}
         lifetime = hists.get(LATENCY_HISTOGRAM, LatencyHistogram())
         frame = build_frame(
             deltas, gauges, lifetime,
             interval=span, uptime=time.monotonic() - self.t0,
-            totals=_counters,
+            totals=counters,
         )
         frame["window"] = span
         frame["latency_histogram"] = lifetime.to_dict()

@@ -21,7 +21,9 @@ its own argument shapes:
   model, fingerprint, and provenance (source/winner/from_cache).  A
   proven-UNSAT or undecided query is a *response*, never an exception —
   the service is a serving layer; the session/flow shims re-raise
-  :class:`~repro.errors.ECError` for their legacy contracts.
+  :class:`~repro.errors.ECError` for their legacy contracts.  It is
+  defined in :mod:`repro.engine.protocol` (the engine returns it
+  directly) and re-exported here, so both import paths name one class.
 
 All three are frozen: a request can be retried, logged, or shipped over
 the wire without defensive copies.
@@ -29,12 +31,12 @@ the wire without defensive copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.core.change import ChangeSet
-from repro.engine.protocol import SAT, UNSAT
+from repro.engine.protocol import SolveResponse  # noqa: F401  (re-export)
 
 #: Strategy selector for the paper's SAT -> set-cover -> ILP route.
 ILP_STRATEGY = "ilp"
@@ -154,45 +156,3 @@ class ChangeRequest:
             raise ValueError(
                 f"unknown ec_mode {self.ec_mode!r} (expected one of {EC_MODES})"
             )
-
-
-@dataclass(frozen=True)
-class SolveResponse:
-    """The uniform answer to a solve or change request.
-
-    ``status`` is tri-state (``"sat"`` / ``"unsat"`` / ``"unknown"``);
-    ``source`` names what answered (``cache``, ``revalidation``, a
-    winning solver, ``batch-dedup``, ...), ``winner`` the racer credited
-    with a decided race, and ``regime`` the §5 classification of the
-    change batch that triggered a re-solve (change responses only).
-    """
-
-    status: str
-    assignment: Assignment | None = None
-    fingerprint: str = ""
-    source: str = ""
-    winner: str | None = None
-    wall_time: float = 0.0
-    from_cache: bool = False
-    session: str | None = None
-    regime: str = ""
-    detail: str = ""
-
-    @property
-    def satisfiable(self) -> bool | None:
-        """Tri-state satisfiability (None = undecided)."""
-        if self.status == SAT:
-            return True
-        if self.status == UNSAT:
-            return False
-        return None
-
-    def with_context(self, *, session: str | None = None,
-                     regime: str | None = None) -> "SolveResponse":
-        """Copy with session/regime context filled in."""
-        updates: dict = {}
-        if session is not None:
-            updates["session"] = session
-        if regime is not None:
-            updates["regime"] = regime
-        return replace(self, **updates) if updates else self

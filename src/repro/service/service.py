@@ -60,10 +60,11 @@ from typing import TYPE_CHECKING, Iterable
 from repro.cnf.formula import CNFFormula
 from repro.cnf.packed import PackedCNF
 from repro.engine.config import EngineConfig
-from repro.engine.engine import EngineResult, PortfolioEngine
+from repro.engine.engine import PortfolioEngine
 from repro.engine.protocol import SAT, UNKNOWN, UNSAT
 from repro.errors import ServiceError
 from repro.obs import tracing
+from repro.obs.metrics import ENGINE_COUNTERS
 from repro.service.requests import (
     ChangeRequest,
     ILP_STRATEGY,
@@ -74,20 +75,6 @@ from repro.service.requests import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (cycle guard)
     from repro.engine.session import IncrementalSession
-
-
-def response_from_engine(result: EngineResult) -> SolveResponse:
-    """Map an :class:`EngineResult` onto the service's response record."""
-    return SolveResponse(
-        status=result.status,
-        assignment=result.assignment,
-        fingerprint=result.fingerprint,
-        source=result.source,
-        winner=result.winner,
-        wall_time=result.wall_time,
-        from_cache=result.from_cache,
-        detail=result.outcome.detail if result.outcome is not None else "",
-    )
 
 
 class PendingSolve:
@@ -203,11 +190,10 @@ class SolverService:
         fingerprints coalesce onto one in-flight race.
         """
         self._check_open()
-        result = self.engine.solve(
+        return self.engine.solve(
             formula, deadline=deadline, seed=seed, hint=hint,
             use_cache=use_cache, lead=lead,
         )
-        return response_from_engine(result)
 
     # ------------------------------------------------------------------
     # the typed front door
@@ -436,8 +422,8 @@ class SolverService:
 
         Wraps :meth:`PortfolioEngine.solve_many` (no service lock — the
         batch interleaves freely with concurrent queries, coalescing via
-        the in-flight table on fingerprint collisions) and maps each
-        result to a :class:`SolveResponse` (in input order).  Remote
+        the in-flight table on fingerprint collisions); one
+        :class:`SolveResponse` per formula, in input order.  Remote
         clients reach this through the daemon's ``solve_many`` op (one
         frame per batch).
         """
@@ -445,9 +431,9 @@ class SolverService:
         self._check_open()
         formulas = list(formulas)
         self.metrics.adjust_gauge("inflight", 1)
-        results = None
+        responses = None
         try:
-            results = self.engine.solve_many(
+            responses = self.engine.solve_many(
                 formulas, deadline=deadline, seed=seed,
                 use_cache=use_cache, lead=lead,
             )
@@ -455,9 +441,9 @@ class SolverService:
             self.metrics.adjust_gauge("inflight", -1)
             if formulas:
                 self._count_request(
-                    None, len(formulas), errors=0 if results is not None else 1
+                    None, len(formulas),
+                    errors=0 if responses is not None else 1,
                 )
-        responses = [response_from_engine(r) for r in results]
         if self.recorder is not None:
             self.recorder.record_solve_many(
                 formulas,
@@ -671,20 +657,24 @@ class SolverService:
     def stats(self) -> dict:
         """Engine + cache counters as one JSON-able snapshot.
 
-        The engine block is read under the engine's *narrow* lock (via
-        :meth:`PortfolioEngine.stats_snapshot`), so a snapshot racing
-        concurrent queries never reads a half-merged delta — without
-        queueing behind a running race (the load driver diffs two
-        snapshots to report per-run counters).  The ``cache`` block
-        carries the backend's introspection (``entries``/``bytes``/
-        ``evictions`` from
-        :meth:`~repro.engine.cache.CacheBackend.info`), and ``metrics``
-        carries the live registry — counters, gauges, per-session
-        request families, and the solve-latency histogram summary.
+        ``metrics`` is one snapshot of the registry — counters, gauges,
+        per-session request families, and the solve-latency histogram
+        summary — and the ``engine`` block is that snapshot's view of
+        the engine counters (exactly the names in
+        :data:`~repro.obs.metrics.ENGINE_COUNTERS`, 0 for one never
+        bumped), so the two always agree.  Each query is one registry
+        bump, so a snapshot racing concurrent queries never reads half
+        a query — and never queues behind a running race (the workload
+        runner diffs two snapshots to report per-run counters).  The
+        ``cache`` block carries the backend's introspection
+        (``entries``/``bytes``/``evictions`` from
+        :meth:`~repro.engine.cache.CacheBackend.info`), read under the
+        engine's narrow lock.
         """
         engine = self.engine
+        metrics = self.metrics.snapshot()
+        counters = metrics["counters"]
         with engine.lock:
-            engine_stats = engine.stats.snapshot()
             cache = engine.cache
             cache_info = (
                 cache.info() if hasattr(cache, "info")
@@ -698,10 +688,10 @@ class SolverService:
         with self._lock:
             sessions = sorted(self._sessions)
         return {
-            "engine": engine_stats,
+            "engine": {name: counters.get(name, 0) for name in ENGINE_COUNTERS},
             "cache": cache_block,
             "sessions": sessions,
-            "metrics": self.metrics.snapshot(),
+            "metrics": metrics,
         }
 
     def health(self) -> dict:

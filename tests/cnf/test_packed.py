@@ -218,12 +218,6 @@ class TestFingerprintV2:
             CNFFormula([[1, 2]], num_vars=7)
         )
 
-    def test_differs_from_v1(self):
-        from repro.engine.fingerprint import fingerprint
-
-        f = CNFFormula([[1, 2]])
-        assert fingerprint_v2(f) != fingerprint(f)
-
     def test_content_sensitivity(self):
         assert fingerprint_v2(CNFFormula([[1, 2]])) != fingerprint_v2(
             CNFFormula([[1, -2]])

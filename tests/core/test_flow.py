@@ -122,8 +122,8 @@ class TestPortfolioStrategy:
                                       AddVariable()]))
         a = flow.resolve(strategy="portfolio", jobs=1)
         assert flow.engine is not None
-        assert flow.engine.stats.solver_calls == 0
-        assert flow.engine.stats.revalidations == 1
+        assert flow.engine.counters()["solver_calls"] == 0
+        assert flow.engine.counters()["revalidations"] == 1
         assert flow.formula.is_satisfied(a)
         assert flow.history[-1].kind == "portfolio"
         assert "revalidation" in flow.history[-1].detail
@@ -137,7 +137,7 @@ class TestPortfolioStrategy:
             b = flow.resolve(strategy="portfolio")
         except ECError:
             return  # the contradicting clause happened to make it UNSAT
-        assert flow.engine.stats.solver_calls > 0
+        assert flow.engine.counters()["solver_calls"] > 0
         assert flow.formula.is_satisfied(b)
 
     def test_unsat_modified_instance_raises(self):
@@ -160,7 +160,7 @@ class TestPortfolioStrategy:
         flow.apply_changes(ChangeSet([AddVariable()]))
         flow.resolve(strategy="portfolio")
         assert flow.engine is engine
-        assert engine.stats.solves == 2
+        assert engine.counters()["solves"] == 2
 
 
     def test_stray_portfolio_option_rejected(self, planted_small):

@@ -27,25 +27,25 @@ class TestCachePath:
     def test_repeat_query_hits_cache_without_solving(self, engine, sat_instance):
         first = engine.solve(sat_instance)
         assert first.status == "sat" and not first.from_cache
-        calls = engine.stats.solver_calls
+        calls = engine.counters()["solver_calls"]
         second = engine.solve(sat_instance)
         assert second.from_cache and second.source == "cache"
-        assert engine.stats.solver_calls == calls
+        assert engine.counters()["solver_calls"] == calls
         assert sat_instance.is_satisfied(second.assignment)
 
     def test_reordered_formula_hits_same_entry(self, engine, sat_instance):
         engine.solve(sat_instance)
-        calls = engine.stats.solver_calls
+        calls = engine.counters()["solver_calls"]
         reordered = CNFFormula(list(reversed(sat_instance.clauses)))
         assert engine.solve(reordered).from_cache
-        assert engine.stats.solver_calls == calls
+        assert engine.counters()["solver_calls"] == calls
 
     def test_dimacs_roundtrip_hits_same_entry(self, engine, sat_instance):
         engine.solve(sat_instance)
-        calls = engine.stats.solver_calls
+        calls = engine.counters()["solver_calls"]
         again = parse_dimacs(to_dimacs(sat_instance))
         assert engine.solve(again).from_cache
-        assert engine.stats.solver_calls == calls
+        assert engine.counters()["solver_calls"] == calls
 
     def test_unsat_verdict_cached(self, engine):
         unsat = CNFFormula([[1, 2], [1, -2], [-1, 2], [-1, -2]])
@@ -78,10 +78,10 @@ class TestRevalidationPath:
         model = engine.solve(sat_instance).assignment
         loosened = sat_instance.copy()
         loosened.remove_clause_at(0)
-        calls = engine.stats.solver_calls
+        calls = engine.counters()["solver_calls"]
         result = engine.solve(loosened, hint=model)
         assert result.status == "sat" and result.source == "revalidation"
-        assert engine.stats.solver_calls == calls
+        assert engine.counters()["solver_calls"] == calls
         # ... and the revalidated model was cached for next time.
         assert engine.solve(loosened).from_cache
 
@@ -104,7 +104,7 @@ class TestSharedCache:
         with PortfolioEngine(jobs=1, cache=shared) as b:
             result = b.solve(sat_instance)
             assert result.from_cache
-            assert b.stats.solver_calls == 0
+            assert b.counters()["solver_calls"] == 0
 
 
 class TestWinnerMetadata:
@@ -161,7 +161,7 @@ class TestSolveMany:
             parse_dimacs(to_dimacs(sat_instance)),
         ]
         results = engine.solve_many(variants)
-        assert engine.stats.batch_dedups == 2
+        assert engine.counters()["batch_dedups"] == 2
         assert [r.source for r in results[1:]] == ["batch-dedup", "batch-dedup"]
         assert all(r.status == "sat" for r in results)
         for variant, result in zip(variants, results):
@@ -180,15 +180,15 @@ class TestSolveMany:
         results = engine.solve_many(
             [sat_instance, sat_instance.copy()], use_cache=False
         )
-        assert engine.stats.batch_dedups == 1
+        assert engine.counters()["batch_dedups"] == 1
         assert results[1].source == "batch-dedup"
 
     def test_unique_instances_each_race(self, engine):
         a = CNFFormula([[1, 2]])
         b = CNFFormula([[1, -2]])
-        races = engine.stats.races
+        races = engine.counters()["races"]
         engine.solve_many([a, b], use_cache=False)
-        assert engine.stats.races == races + 2
+        assert engine.counters()["races"] == races + 2
 
     def test_empty_batch(self, engine):
         assert engine.solve_many([]) == []
@@ -221,7 +221,7 @@ class TestEvictionInterleavedWithBatch:
             # b later in the batch are still answered correctly.
             results = eng.solve_many([a, b, a.copy(), c, b.copy()])
             assert [r.status for r in results] == ["sat"] * 5
-            assert eng.stats.batch_dedups == 2
+            assert eng.counters()["batch_dedups"] == 2
             assert results[2].source == "batch-dedup"
             assert results[4].source == "batch-dedup"
             assert eng.cache.stats.evictions >= 2
@@ -234,13 +234,13 @@ class TestEvictionInterleavedWithBatch:
         b, _ = random_planted_ksat(10, 30, rng=35)
         with PortfolioEngine(jobs=1, cache=_tiny_cache(backend, tmp_path)) as eng:
             eng.solve_many([a, b])            # b's store evicted a
-            races = eng.stats.races
+            races = eng.counters()["races"]
             second = eng.solve_many([a.copy()])
             # A fresh batch cannot dedup against the old one; the evicted
             # entry forces a genuine re-solve (a race, not a cache hit).
             assert second[0].status == "sat" and not second[0].from_cache
-            assert eng.stats.races == races + 1
-            assert eng.stats.batch_dedups == 0
+            assert eng.counters()["races"] == races + 1
+            assert eng.counters()["batch_dedups"] == 0
 
     def test_eviction_interleaved_with_unsat_entries(self, backend, tmp_path):
         sat, _ = random_planted_ksat(8, 24, rng=36)
@@ -248,4 +248,4 @@ class TestEvictionInterleavedWithBatch:
         with PortfolioEngine(jobs=1, cache=_tiny_cache(backend, tmp_path)) as eng:
             results = eng.solve_many([unsat, sat, unsat.copy(), sat.copy()])
             assert [r.status for r in results] == ["unsat", "sat", "unsat", "sat"]
-            assert eng.stats.batch_dedups == 2
+            assert eng.counters()["batch_dedups"] == 2

@@ -1,7 +1,7 @@
-"""Fingerprint invariants: canonical under every representation artifact.
+"""fp-v2 invariants: canonical under every representation artifact.
 
 Includes the DIMACS round-trip property the cache relies on:
-``fingerprint(parse_dimacs(to_dimacs(f))) == fingerprint(f)``.
+``fingerprint_v2(parse_dimacs(to_dimacs(f))) == fingerprint_v2(f)``.
 """
 
 import hypothesis.strategies as st
@@ -10,7 +10,7 @@ from hypothesis import given
 from repro.cnf.clause import Clause
 from repro.cnf.dimacs import parse_dimacs, to_dimacs
 from repro.cnf.formula import CNFFormula
-from repro.engine.fingerprint import fingerprint, normalized_clauses
+from repro.engine.fingerprint import fingerprint_v2
 
 
 @st.composite
@@ -35,13 +35,13 @@ def formulas(draw, max_var=8, max_clauses=12):
 class TestFingerprintProperties:
     @given(formulas())
     def test_dimacs_roundtrip_stable(self, f):
-        assert fingerprint(parse_dimacs(to_dimacs(f))) == fingerprint(f)
+        assert fingerprint_v2(parse_dimacs(to_dimacs(f))) == fingerprint_v2(f)
 
     @given(formulas(), st.randoms(use_true_random=False))
     def test_clause_order_irrelevant(self, f, rnd):
         shuffled = list(f.clauses)
         rnd.shuffle(shuffled)
-        assert fingerprint(CNFFormula(shuffled)) == fingerprint(f)
+        assert fingerprint_v2(CNFFormula(shuffled)) == fingerprint_v2(f)
 
     @given(formulas(), st.randoms(use_true_random=False))
     def test_literal_order_irrelevant(self, f, rnd):
@@ -50,17 +50,17 @@ class TestFingerprintProperties:
             lits = list(cl.literals)
             rnd.shuffle(lits)
             reordered.append(Clause(lits))
-        assert fingerprint(CNFFormula(reordered)) == fingerprint(f)
+        assert fingerprint_v2(CNFFormula(reordered)) == fingerprint_v2(f)
 
     @given(formulas())
     def test_duplicate_clauses_irrelevant(self, f):
         doubled = CNFFormula(list(f.clauses) + list(f.clauses))
-        assert fingerprint(doubled) == fingerprint(f)
+        assert fingerprint_v2(doubled) == fingerprint_v2(f)
 
     @given(formulas())
     def test_deterministic_across_rebuilds(self, f):
         rebuilt = CNFFormula([Clause(cl.literals) for cl in f.clauses])
-        assert fingerprint(rebuilt) == fingerprint(f)
+        assert fingerprint_v2(rebuilt) == fingerprint_v2(f)
 
 
 class TestFingerprintDiscrimination:
@@ -68,20 +68,16 @@ class TestFingerprintDiscrimination:
         f = CNFFormula([[1, 2], [-1, 3]])
         g = f.copy()
         g.add_clause([2, 3])
-        assert fingerprint(f) != fingerprint(g)
+        assert fingerprint_v2(f) != fingerprint_v2(g)
 
     def test_polarity_changes_fingerprint(self):
-        assert fingerprint(CNFFormula([[1, 2]])) != fingerprint(CNFFormula([[1, -2]]))
+        assert fingerprint_v2(CNFFormula([[1, 2]])) != fingerprint_v2(CNFFormula([[1, -2]]))
 
     def test_free_variables_do_not_matter(self):
         # Free variables are don't-cares; a cached model transfers.
         narrow = CNFFormula([[1, 3]])
         wide = CNFFormula([[1, 3]], num_vars=9)
-        assert fingerprint(narrow) == fingerprint(wide)
+        assert fingerprint_v2(narrow) == fingerprint_v2(wide)
 
     def test_empty_formula(self):
-        assert fingerprint(CNFFormula()) == fingerprint(CNFFormula(num_vars=5))
-
-    def test_normalized_clauses_sorted_and_unique(self):
-        f = CNFFormula([[2, 1], [1, 2], [-3]])
-        assert normalized_clauses(f) == ((-3,), (1, 2))
+        assert fingerprint_v2(CNFFormula()) == fingerprint_v2(CNFFormula(num_vars=5))

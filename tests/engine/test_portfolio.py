@@ -9,7 +9,7 @@ from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import random_planted_ksat
 from repro.engine.config import SolverConfig, default_portfolio_configs
-from repro.engine.portfolio import Portfolio, run_config
+from repro.engine.portfolio import Portfolio, run_packed
 from repro.engine.protocol import SAT, SolverOutcome, UNKNOWN, UNSAT
 
 
@@ -102,6 +102,39 @@ class TestProcessPoolRace:
                 assert result.winner in ("ilp-a", "ilp-b")
                 assert sat_instance.is_satisfied(result.outcome.assignment)
 
+    def test_workers_die_on_sigterm_despite_a_parent_handler(self):
+        """``repro serve`` handles SIGTERM as "drain"; forked workers must
+        not inherit that, or the pool's ``terminate()`` does nothing."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = """
+import os, signal, sys
+signal.signal(signal.SIGTERM, lambda *_: None)
+from repro.engine.portfolio import Portfolio
+p = Portfolio(jobs=2, quick_slice=0.0)
+p.warm_up()
+procs = list(p._executor._processes.values())
+procs[0].terminate()
+procs[0].join(2.0)
+dead = not procs[0].is_alive()
+for proc in procs:
+    if proc.is_alive():
+        os.kill(proc.pid, signal.SIGKILL)
+print("dead" if dead else "alive", flush=True)
+os._exit(0)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, env=env,
+        )
+        assert out.stdout.strip() == "dead", out.stderr
+
 
 class TestSequentialFallback:
     def test_jobs_one_never_forks(self, sat_instance):
@@ -156,17 +189,18 @@ class TestConfigs:
         assert len(names) == len(set(names))
         assert any(c.kind == "ilp-exact" for c in configs)
 
-    def test_run_config_maps_crash_to_unknown(self, sat_instance):
+    def test_run_packed_maps_crash_to_unknown(self, sat_instance):
         bad = SolverConfig.make("bad", "walksat", no_such_param=1)  # TypeError inside
-        out = run_config(bad, sat_instance)
+        out = run_packed(bad, sat_instance.packed())
         assert out.status == UNKNOWN and "error" in out.detail
 
     def test_seed_offset_diversifies_deterministically(self, sat_instance):
         base = SolverConfig.make("ws", "walksat")
         off = SolverConfig.make("ws2", "walksat", seed_offset=50)
-        a1 = run_config(base, sat_instance, seed=3)
-        a2 = run_config(base, sat_instance, seed=3)
-        b = run_config(off, sat_instance, seed=3)
+        packed = sat_instance.packed()
+        a1 = run_packed(base, packed, seed=3)
+        a2 = run_packed(base, packed, seed=3)
+        b = run_packed(off, packed, seed=3)
         assert a1.assignment.as_dict() == a2.assignment.as_dict()
         assert a1.status == b.status == SAT
 

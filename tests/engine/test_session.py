@@ -190,10 +190,10 @@ class TestTighteningResolvePath:
             )
             a.resolve(seed=0)
             modified = a.formula.copy()
-            calls = engine.stats.solver_calls
+            calls = engine.counters()["solver_calls"]
             b = IncrementalSession(modified, engine=engine)
             b.solve(seed=0)
-            assert engine.stats.solver_calls == calls
+            assert engine.counters()["solver_calls"] == calls
             assert b.history[-1].source == "cache"
 
 

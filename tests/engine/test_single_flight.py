@@ -82,7 +82,7 @@ class TestSingleFlight:
             results = run_threads(
                 n, lambda i: engine.solve(CNFFormula(f.clauses), seed=0)
             )
-            stats = engine.stats_snapshot()
+            stats = engine.counters()
         assert all(r.status == "sat" for r in results)
         assert all(f.is_satisfied(r.assignment) for r in results)
         assert stats["solves"] == n
@@ -105,7 +105,7 @@ class TestSingleFlight:
         with slow_engine(delay=0.01) as engine:
             first = engine.solve(CNFFormula(f.clauses), seed=0)
             second = engine.solve(CNFFormula(f.clauses), seed=0)
-            stats = engine.stats_snapshot()
+            stats = engine.counters()
         assert first.source != "inflight-join"
         assert second.source == "cache"
         assert stats["inflight_joins"] == 0
@@ -152,7 +152,7 @@ class TestDistinctFingerprintOverlap:
             t0 = time.perf_counter()
             results = run_threads(n, lambda i: engine.solve(instances[i], seed=0))
             wall = time.perf_counter() - t0
-            stats = engine.stats_snapshot()
+            stats = engine.counters()
         assert all(r.status == "sat" for r in results)
         assert stats["races"] == n and stats["inflight_joins"] == 0
         # Serialized execution would take >= n * delay; overlapping
@@ -165,7 +165,7 @@ class TestDistinctFingerprintOverlap:
         with PortfolioEngine(jobs=2, quick_slice=0.0) as engine:
             engine.warm_up()
             results = run_threads(n, lambda i: engine.solve(instances[i], seed=0))
-            stats = engine.stats_snapshot()
+            stats = engine.counters()
             portfolio = engine.portfolio
             # Every slot comes home once the leftover racers are reaped.
             deadline = time.monotonic() + 10.0
@@ -202,7 +202,7 @@ class TestStatsInvariantUnderLoad:
                 )
 
             run_threads(6, mixed)
-            stats = engine.stats_snapshot()
+            stats = engine.counters()
         assert stats["solves"] == 6 * (4 + 2)
         assert stats["solves"] == (
             stats["cache_hits"] + stats["revalidations"] + stats["races"]

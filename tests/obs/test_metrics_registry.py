@@ -41,6 +41,13 @@ class TestRegistry:
         assert r.gauge("queued") == 2.0
         assert r.gauge("absent") == 0.0
 
+    def test_counters_reads_named_counters_with_zero_default(self):
+        r = MetricsRegistry()
+        r.bump(counts={"solves": 2, "races": 1, "requests": 5})
+        assert r.counters(("solves", "races", "cache_hits")) == {
+            "solves": 2, "races": 1, "cache_hits": 0,
+        }
+
     def test_histogram_reads_are_snapshots(self):
         r = MetricsRegistry()
         r.observe(LATENCY_HISTOGRAM, 0.01)
@@ -128,6 +135,21 @@ class TestMonitor:
         assert frame["hit_rate"] == pytest.approx(0.5)
         assert frame["window"] >= 1.0
         assert frame["latency_histogram"]["count"] == 1
+
+    def test_snapshot_counts_the_tail_since_the_last_tick(self):
+        """Requests served before the first tick (a daemon's first
+        second) show up in the one-shot frame, with a nonzero rate."""
+        r = MetricsRegistry()
+        m = StatsMonitor(r, interval=1.0)
+        r.bump(counts={"requests": 14, "solves": 14})
+        frame = m.snapshot_frame()
+        assert frame["requests"] == 14
+        assert frame["solves"] == 14
+        assert frame["rps"] > 0.0
+        # After a tick the same events come from the ring row, once.
+        m.sample()
+        r.bump(counts={"requests": 1})
+        assert m.snapshot_frame()["requests"] == 15
 
     def test_snapshot_includes_recent_series_rows(self):
         r = MetricsRegistry()

@@ -17,6 +17,7 @@ from repro.core.change import AddVariable, ChangeSet, RemoveClause
 from repro.engine.config import EngineConfig
 from repro.engine.engine import PortfolioEngine
 from repro.errors import ServiceError
+from repro.obs.metrics import ENGINE_COUNTERS
 from repro.service.client import ServiceClient
 from repro.service.daemon import ServiceDaemon
 from repro.service.requests import ChangeRequest, SolveRequest
@@ -337,7 +338,7 @@ class TestRecorderHook:
 
 
 class TestCounterSafetyUnderConcurrency:
-    """The audit satellite: EngineStats mutation is lock-guarded."""
+    """Each query is one registry bump, so no reader sees half a query."""
 
     def test_concurrent_submit_keeps_counters_consistent(self):
         with SolverService(EngineConfig(jobs=1, submit_workers=4)) as service:
@@ -365,19 +366,24 @@ class TestCounterSafetyUnderConcurrency:
             stats["cache_hits"] + stats["revalidations"] + stats["races"]
             + stats["batch_dedups"] + stats["inflight_joins"]
         )
-        # Snapshots taken while submissions raced were read under the
-        # engine's stats lock, so the identity must hold exactly in each
-        # of them too.
+        # Snapshots taken while submissions raced read the registry in
+        # one acquisition, and each query is one bump, so the identity
+        # holds exactly in each of them too — in the engine view and in
+        # the raw registry counters it is read from.
         for snap in snapshots:
             engine = snap["engine"]
             assert engine["solves"] == (
                 engine["cache_hits"] + engine["revalidations"] + engine["races"]
                 + engine["batch_dedups"] + engine["inflight_joins"]
             )
+            counters = snap["metrics"]["counters"]
+            assert engine == {
+                name: counters.get(name, 0) for name in ENGINE_COUNTERS
+            }
 
     def test_two_services_sharing_one_engine_cannot_tear_counters(self):
         """Shared-engine embeddings have *different* service locks; the
-        engine's own lock is what keeps the counters coherent."""
+        engine's registry is what keeps the counters coherent."""
         with PortfolioEngine(jobs=1) as engine:
             services = [SolverService(engine=engine) for _ in range(2)]
             formulas = [random_planted_ksat(12, 36, rng=i)[0] for i in range(4)]
@@ -402,11 +408,12 @@ class TestCounterSafetyUnderConcurrency:
             for t in threads:
                 t.join(timeout=120)
             assert errors == []
-            stats = engine.stats
-            assert stats.solves == 2 * 5 * len(formulas)
-            assert stats.solves == (
-                stats.cache_hits + stats.revalidations + stats.races
-                + stats.batch_dedups + stats.inflight_joins
+            stats = engine.counters()
+            assert stats["solves"] == 2 * 5 * len(formulas)
+            assert stats["solves"] == (
+                stats["cache_hits"] + stats["revalidations"] + stats["races"]
+                + stats["batch_dedups"] + stats["inflight_joins"]
             )
+            assert stats["solves"] == engine.metrics.counter("solves")
             for service in services:
                 service.close()

@@ -11,6 +11,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.diskcache import DiskCache
 from repro.engine.engine import PortfolioEngine
 from repro.errors import ServiceError
+from repro.obs.metrics import ENGINE_COUNTERS
 from repro.service.requests import ChangeRequest, SolveRequest
 from repro.service.service import PendingSolve, SolverService
 
@@ -71,7 +72,7 @@ class TestStatelessSolve:
         f, _ = planted
         response = service.solve(SolveRequest(formula=f, strategy="cdcl", seed=0))
         assert response.status == "sat" and response.winner == "cdcl"
-        assert service.engine.stats.solves == 0   # engine untouched
+        assert service.engine.counters()["solves"] == 0   # engine untouched
 
     def test_ilp_strategy(self, service, planted):
         f, _ = planted
@@ -99,14 +100,14 @@ class TestSessions:
 
         # Loosening batch: answered by revalidation, zero solver runs.
         victim = service.session("t1").formula.clauses[0]
-        calls = service.engine.stats.solver_calls
+        calls = service.engine.counters()["solver_calls"]
         changed = service.change(ChangeRequest(
             "t1", ChangeSet([RemoveClause(victim), AddVariable()]), seed=0,
         ))
         assert changed.status == "sat"
         assert changed.regime == "loosening"
         assert changed.source == "revalidation"
-        assert service.engine.stats.solver_calls == calls
+        assert service.engine.counters()["solver_calls"] == calls
 
     def test_tightening_change_races_with_cdcl_lead(self, service, planted):
         f, _ = planted
@@ -114,27 +115,27 @@ class TestSessions:
         breaking = _breaking_clause(
             service.session("t").formula, opened.assignment
         )
-        calls = service.engine.stats.solver_calls
+        calls = service.engine.counters()["solver_calls"]
         response = service.change(ChangeRequest(
             "t", ChangeSet([AddClause(breaking)]), seed=0,
         ))
         assert response.regime == "tightening"
         if response.status == "sat":
             assert service.session("t").formula.is_satisfied(response.assignment)
-            assert service.engine.stats.solver_calls > calls
+            assert service.engine.counters()["solver_calls"] > calls
 
     def test_force_mode_runs_a_full_engine_query(self, service, planted):
         f, _ = planted
         service.solve(SolveRequest(formula=f, session="t", seed=0))
         victim = service.session("t").formula.clauses[0]
-        solves = service.engine.stats.solves
+        solves = service.engine.counters()["solves"]
         response = service.change(ChangeRequest(
             "t", ChangeSet([RemoveClause(victim)]), ec_mode="force", seed=0,
         ))
         # Force mode bypasses the session's O(1) fast path: the engine
         # ran a query (the hint revalidation answered it — no race).
         assert response.status == "sat"
-        assert service.engine.stats.solves == solves + 1
+        assert service.engine.counters()["solves"] == solves + 1
 
     def test_many_sessions_share_one_engine(self, service):
         # The multi-tenant headline: N sessions, one pool, one cache.
@@ -272,7 +273,7 @@ class TestBatch:
         responses = service.solve_many([f, f.copy()], seed=0)
         assert [r.status for r in responses] == ["sat", "sat"]
         assert responses[1].source == "batch-dedup"
-        assert service.engine.stats.batch_dedups == 1
+        assert service.engine.counters()["batch_dedups"] == 1
 
 
 class TestErrorAccounting:
@@ -324,7 +325,7 @@ class TestCacheBackends:
         )) as svc:
             again = svc.solve(SolveRequest(formula=f.copy(), seed=0))
             assert again.from_cache
-            assert svc.engine.stats.solver_calls == 0
+            assert svc.engine.counters()["solver_calls"] == 0
 
     def test_none_backend_disables_caching(self, planted):
         f, _ = planted
@@ -376,6 +377,12 @@ class TestLifecycle:
         service.solve(SolveRequest(formula=f.copy(), seed=0))
         snapshot = service.stats()
         assert snapshot["engine"]["solves"] == 2
+        # The engine block is the registry's view: exactly the engine
+        # counter names, each equal to its registry entry (0 if absent).
+        counters = snapshot["metrics"]["counters"]
+        assert tuple(snapshot["engine"]) == ENGINE_COUNTERS
+        for name in ENGINE_COUNTERS:
+            assert snapshot["engine"][name] == counters.get(name, 0)
         assert snapshot["cache"]["hits"] >= 1
         assert 0.0 < snapshot["cache"]["hit_rate"] <= 1.0
         assert snapshot["sessions"] == []

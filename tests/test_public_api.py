@@ -30,6 +30,52 @@ class TestTopLevel:
             assert hasattr(mod, name), f"{module}.{name}"
 
 
+class TestOneCopyOnTheEnginePath:
+    """The engine path keeps one fingerprint, one answer record, and
+    one counter store; the retired names stay retired."""
+
+    def test_fingerprint_v2_is_the_exported_fingerprint(self):
+        from repro.engine.fingerprint import fingerprint_v2
+
+        assert repro.fingerprint_v2 is fingerprint_v2
+        assert "fingerprint" not in repro.__all__
+
+    def test_solve_response_lives_in_the_engine_protocol(self):
+        import repro.engine
+        from repro.engine import protocol
+        from repro.service import requests
+
+        assert repro.engine.SolveResponse is protocol.SolveResponse
+        assert requests.SolveResponse is protocol.SolveResponse
+        assert repro.SolveResponse is protocol.SolveResponse
+
+    @pytest.mark.parametrize("name", ["EngineStats", "EngineResult", "fingerprint"])
+    def test_retired_names_are_gone(self, name):
+        import repro.engine
+
+        assert name not in repro.__all__
+        assert name not in repro.engine.__all__
+
+    def test_import_repro_loads_no_scipy(self):
+        """scipy is imported on the ILP route's first LP, not by every
+        process that imports repro (the daemon, the router, the CLI)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys, repro; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=120, env=env,
+        )
+        assert out.stdout.strip() == "[]"
+
+
 class TestErrorHierarchy:
     def test_all_errors_derive_from_repro_error(self):
         for name in dir(errors):
