@@ -25,7 +25,7 @@ from repro.service.daemon import ServiceDaemon
 TOKEN = "example-cluster-token"
 
 
-def boot_node(workdir: Path, name: str) -> ServiceDaemon:
+def boot_node(workdir: Path, name: str, threads: list) -> ServiceDaemon:
     daemon = ServiceDaemon(
         None,
         SolverService(EngineConfig(
@@ -35,7 +35,7 @@ def boot_node(workdir: Path, name: str) -> ServiceDaemon:
         tcp_address="127.0.0.1:0",     # ephemeral port, reported after bind
         auth_token=TOKEN,
     )
-    daemon.start()
+    threads.append(daemon.start())
     (address,) = daemon.addresses
     print(f"node {name}: {address}")
     return daemon
@@ -45,7 +45,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         print("== Three TCP nodes, one shared token ==")
-        nodes = {name: boot_node(workdir, name) for name in "abc"}
+        threads: list = []
+        nodes = {name: boot_node(workdir, name, threads) for name in "abc"}
         addr = {name: d.addresses[0] for name, d in nodes.items()}
 
         print("\n== Anti-entropy replication (b pulls a) ==")
@@ -72,7 +73,7 @@ def main() -> None:
             auth_token=TOKEN, health_interval=0.2,
             log_path=str(workdir / "router.log"),
         )
-        router.start()
+        threads.append(router.start())
         print(f"router: {router.address}")
         with ServiceClient(router.address, auth_token=TOKEN) as client:
             owners_before = {}
@@ -121,6 +122,10 @@ def main() -> None:
         router.shutdown()
         for daemon in nodes.values():
             daemon.shutdown()
+        # Each server logs a last line on its way out: let it, before the
+        # temporary directory holding the logs goes away.
+        for thread in threads:
+            thread.join(timeout=10)
 
 
 if __name__ == "__main__":

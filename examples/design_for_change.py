@@ -39,7 +39,7 @@ def stress(formula, assignment, trials=25, seed=0):
 
 
 def main() -> None:
-    inst = f_instance(40, 150, seed=9, name="design")
+    inst = f_instance(20, 75, seed=9, name="design")
     formula, plant = inst.formula, inst.witness
     print(f"instance: {formula.num_vars} vars, {formula.num_clauses} clauses\n")
 

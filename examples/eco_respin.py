@@ -20,7 +20,7 @@ from repro.ilp.solver import solve
 
 def main() -> None:
     # A jnh-style constraint system standing in for a signed-off design.
-    inst = jnh_instance(60, 360, seed=11, name="design")
+    inst = jnh_instance(30, 180, seed=11, name="design")
     formula, witness = inst.formula, inst.witness
     print(f"design model: {formula.num_vars} signals, "
           f"{formula.num_clauses} constraints")

@@ -46,8 +46,9 @@ def main() -> None:
         print(f"re-solved by: {session.history[-1].source}, "
               f"model valid: {session.formula.is_satisfied(new_model)}")
 
-        # The same instance again: served from the fingerprint cache.
-        result = engine.solve(session.formula)
+        # The same instance again, as its packed kernel (what the engine
+        # reads): served from the fingerprint cache.
+        result = engine.solve(session.formula.packed())
         print("\n== Repeated query ==")
         print(f"source: {result.source} (cache hits: {engine.cache.stats.hits})")
 

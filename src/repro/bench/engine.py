@@ -27,7 +27,7 @@ plus two suite-level comparisons isolating clause learning:
 and two packed-kernel comparisons (the flat-array substrate):
 
 6. **packed vs object** — per row: (a) each packed-capable solver run
-   from a cold object graph (entry re-packs the formula) vs straight
+   from a cold object graph (packed inside the timed call) vs straight
    off a prebuilt :class:`~repro.cnf.packed.PackedCNF`; (b) the
    per-race worker-transport cost — pickled ``CNFFormula`` object graph
    vs ``PackedCNF.to_bytes`` wire bytes, round-tripped (bytes and
@@ -138,12 +138,11 @@ def bench_row(
 ) -> EngineBenchRow:
     """Run the three experiments on one benchmark instance."""
     row = EngineBenchRow(inst.name, inst.num_vars, inst.num_clauses)
+    packed = inst.formula.packed()
 
     # 1. single-solver sequential baselines.
     for adapter in _SEQUENTIAL:
-        wall, out = _best_of(
-            rounds, adapter.solve, inst.formula, seed=seed
-        )
+        wall, out = _best_of(rounds, adapter.solve_packed, packed, seed=seed)
         if out.status == "sat":
             row.sequential[adapter.name] = wall
     if not row.sequential:
@@ -153,7 +152,7 @@ def bench_row(
 
     # 2. the portfolio race (cache bypassed; pool already warm).
     wall, eres = _best_of(
-        rounds, engine.solve, inst.formula, seed=seed, use_cache=False
+        rounds, engine.solve, packed, seed=seed, use_cache=False
     )
     if eres.status != "sat":
         raise ReproError(f"portfolio did not decide {inst.name}")
@@ -162,8 +161,8 @@ def bench_row(
     row.portfolio_ratio = row.portfolio / row.best_sequential
 
     # ... and the repeated-query path through the fingerprint cache.
-    engine.solve(inst.formula, seed=seed)               # populate
-    row.cached_hit, cres = _best_of(rounds, engine.solve, inst.formula, seed=seed)
+    engine.solve(packed, seed=seed)                     # populate
+    row.cached_hit, cres = _best_of(rounds, engine.solve, packed, seed=seed)
     assert cres.from_cache
 
     # 3. successive-change chain: loosening edits, re-solved K times.
@@ -246,7 +245,9 @@ def parity_change_chain(
 def _timed_verdict(adapter, formula, hint, seed: int) -> tuple[float, str]:
     """(wall seconds, status) for one capped adapter run."""
     t0 = time.perf_counter()
-    out = adapter.solve(formula, deadline=_VERSUS_DEADLINE, seed=seed, hint=hint)
+    out = adapter.solve_packed(
+        formula.packed(), deadline=_VERSUS_DEADLINE, seed=seed, hint=hint
+    )
     return max(time.perf_counter() - t0, _MIN_TIME), out.status
 
 
@@ -369,15 +370,15 @@ def bench_packed_row(
     row = PackedRow(inst.name, inst.num_vars, inst.num_clauses)
 
     # (a) per-solver solve time: cold object graph vs prebuilt kernel.
-    # A fresh formula per round keeps the object path honest — the entry
-    # wrapper re-packs it, exactly what every pre-kernel solve paid.
+    # A fresh formula per round is packed inside the timed call, exactly
+    # what every pre-kernel solve paid.
     packed = inst.formula.packed()
     for adapter in _PACKED_SOLVERS:
         colds = [CNFFormula(inst.formula.clauses) for _ in range(max(1, rounds))]
         t_obj = float("inf")
         for cold in colds:
             t0 = time.perf_counter()
-            adapter.solve(cold, seed=seed)
+            adapter.solve_packed(cold.packed(), seed=seed)
             t_obj = min(t_obj, time.perf_counter() - t0)
         t_pak, _ = _best_of(rounds, adapter.solve_packed, packed, seed=seed)
         row.solver_object[adapter.name] = max(t_obj, _MIN_TIME)
@@ -451,7 +452,7 @@ def bench_batch(
         formulas.append(CNFFormula(inst.formula.clauses))   # intra-batch dup
     with PortfolioEngine(jobs=jobs) as engine:
         t0 = time.perf_counter()
-        results = engine.solve_many(formulas, seed=seed)
+        results = engine.solve_many([f.packed() for f in formulas], seed=seed)
         wall = time.perf_counter() - t0
         counters = engine.counters()
         return {
@@ -498,11 +499,11 @@ def bench_service(
     for inst in instances:
         original = CNFFormula(inst.formula.clauses)
         with PortfolioEngine(jobs=jobs) as engine:
-            engine.solve(original, seed=seed)
+            engine.solve(original.packed(), seed=seed)
         loosened = original.copy()
         loosened.remove_clause_at(0)
         with PortfolioEngine(jobs=jobs) as engine:
-            engine.solve(loosened, seed=seed)
+            engine.solve(loosened.packed(), seed=seed)
     percall_wall = max(time.perf_counter() - t0, _MIN_TIME)
 
     # (b) persistent backend: cold solves, then a second service over the

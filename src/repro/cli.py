@@ -220,10 +220,10 @@ def _cmd_solve_batch(args) -> int:
     paths = sorted(directory.glob("*.cnf"))
     if not paths:
         raise ReproError(f"no .cnf files in {args.file!r}")
-    formulas = [read_dimacs(str(p)) for p in paths]
+    cnfs = [read_dimacs(str(p)).packed() for p in paths]
     with SolverService(EngineConfig(jobs=args.jobs)) as service:
         responses = service.solve_many(
-            formulas, deadline=args.deadline, seed=args.seed
+            cnfs, deadline=args.deadline, seed=args.seed
         )
         undecided = 0
         unsat = 0

@@ -381,9 +381,10 @@ class PackedCNF:
         return out
 
     def to_formula(self) -> "CNFFormula":
-        """Materialize a :class:`CNFFormula` (for backends without a packed
-        entry point).  The packed kernel of the result is this object's
-        copy, so converting back is free."""
+        """Materialize a :class:`CNFFormula` for the consumers that need
+        clause objects: brute force, the set-cover ILP route, and a
+        session opened from wire bytes.  The packed kernel of the result
+        is this object's copy, so converting back is free."""
         from repro.cnf.clause import Clause
         from repro.cnf.formula import CNFFormula
 
@@ -412,7 +413,8 @@ class PackedCNF:
         """Deserialize a :meth:`to_bytes` payload.
 
         Raises:
-            CNFError: on a bad magic, version, or truncated payload.
+            CNFError: on a bad magic, version, length or offset index, or
+                a 0 literal (unsorted or repeated literals are accepted).
         """
         if len(payload) < _HEADER.size:
             raise CNFError("packed CNF payload truncated (no header)")
@@ -445,6 +447,8 @@ class PackedCNF:
             raise CNFError(
                 "packed CNF offsets inconsistent with the literal count"
             )
+        if 0 in lits:
+            raise CNFError("packed CNF payload holds the literal 0")
         empties = 0
         for i in range(nclauses):
             if offsets[i] > offsets[i + 1]:

@@ -8,8 +8,8 @@ engine suitable for serving many queries:
   ``SolverOutcome`` record every backend adapts to, and the
   ``SolveResponse`` record every query is answered with;
 * :mod:`repro.engine.adapters`    -- adapters giving CDCL, DPLL, WalkSAT,
-  brute force, and both ILP solvers one ``solve(formula, *, deadline,
-  seed)`` entry point;
+  brute force, and both ILP solvers one ``solve_packed(packed, *,
+  deadline, seed, hint)`` entry point over the packed CNF kernel;
 * :mod:`repro.engine.fingerprint` -- canonical, order-insensitive formula
   fingerprints (fp-v2, incrementally maintained on the packed kernel);
 * :mod:`repro.engine.cache`       -- the :class:`CacheBackend` protocol and

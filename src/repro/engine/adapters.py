@@ -1,17 +1,15 @@
 """Adapters giving every backend the uniform :class:`Solver` interface.
 
 Each adapter is a small picklable dataclass wrapping one of the repo's
-solvers behind ``solve(formula, *, deadline, seed, hint)``.  Satisfiable
-results are verified against the formula before being reported (see
-:func:`repro.engine.protocol.verified_sat`), and ``unsat`` is only emitted
-by complete solvers whose verdict is a proof.
-
-Solvers with flat-array inner loops additionally expose
-``solve_packed(packed, *, deadline, seed, hint)`` taking a
-:class:`~repro.cnf.packed.PackedCNF` directly — the entry point portfolio
-workers use after deserializing the raw-bytes race payload, skipping the
-object graph entirely (models are verified against the packed arrays;
-``verified_sat`` only needs ``is_satisfied``).
+solvers behind one entry point, ``solve_packed(packed, *, deadline, seed,
+hint)``, which takes the flat :class:`~repro.cnf.packed.PackedCNF`
+kernel a race ships to its workers.  CDCL, DPLL and WalkSAT run on the
+flat arrays directly; brute force and the two ILP routes first rule out
+what the kernel alone decides (too many variables, an empty clause) and
+only then build the clause objects they need (``packed.to_formula()``).
+Satisfiable results are verified against the kernel before being
+reported (see :func:`repro.engine.protocol.verified_sat`), and ``unsat``
+is only emitted by complete solvers whose verdict is a proof.
 """
 
 from __future__ import annotations
@@ -20,16 +18,15 @@ import time
 from dataclasses import dataclass
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.formula import CNFFormula
 from repro.cnf.packed import PackedCNF
 from repro.engine.protocol import SolverOutcome, UNKNOWN, UNSAT, verified_sat
 from repro.errors import ReproError
 from repro.ilp.status import SolveStatus
 from repro.sat.brute import MAX_BRUTE_VARS, brute_force_solve
 from repro.sat.cdcl import CDCLSolver
-from repro.sat.dpll import dpll_solve, dpll_solve_packed
+from repro.sat.dpll import dpll_solve_packed
 from repro.sat.encoding import encode_sat
-from repro.sat.walksat import walksat_solve, walksat_solve_packed
+from repro.sat.walksat import walksat_solve_packed
 
 
 @dataclass(frozen=True)
@@ -46,19 +43,6 @@ class CDCLAdapter:
     max_conflicts: int = 0
     restart_base: int = 64
 
-    def solve(
-        self,
-        formula: CNFFormula,
-        *,
-        deadline: float | None = None,
-        seed: int | None = None,
-        hint: Assignment | None = None,
-    ) -> SolverOutcome:
-        """Run CDCL under the engine contract."""
-        return self.solve_packed(
-            formula.packed(), deadline=deadline, seed=seed, hint=hint
-        )
-
     def solve_packed(
         self,
         packed: PackedCNF,
@@ -67,7 +51,7 @@ class CDCLAdapter:
         seed: int | None = None,
         hint: Assignment | None = None,
     ) -> SolverOutcome:
-        """Run CDCL on a packed kernel (the worker-side race entry)."""
+        """Run CDCL under the engine contract."""
         t0 = time.perf_counter()
         res = CDCLSolver(
             max_conflicts=self.max_conflicts, restart_base=self.restart_base
@@ -104,19 +88,6 @@ class DPLLAdapter:
     complete: bool = True
     max_decisions: int = 0
 
-    def solve(
-        self,
-        formula: CNFFormula,
-        *,
-        deadline: float | None = None,
-        seed: int | None = None,
-        hint: Assignment | None = None,
-    ) -> SolverOutcome:
-        """Run DPLL under the engine contract."""
-        return self.solve_packed(
-            formula.packed(), deadline=deadline, seed=seed, hint=hint
-        )
-
     def solve_packed(
         self,
         packed: PackedCNF,
@@ -125,7 +96,7 @@ class DPLLAdapter:
         seed: int | None = None,
         hint: Assignment | None = None,
     ) -> SolverOutcome:
-        """Run DPLL on a packed kernel (the worker-side race entry)."""
+        """Run DPLL under the engine contract."""
         t0 = time.perf_counter()
         res = dpll_solve_packed(
             packed,
@@ -153,19 +124,6 @@ class WalkSATAdapter:
     noise: float = 0.5
     use_hint: bool = True
 
-    def solve(
-        self,
-        formula: CNFFormula,
-        *,
-        deadline: float | None = None,
-        seed: int | None = None,
-        hint: Assignment | None = None,
-    ) -> SolverOutcome:
-        """Run WalkSAT under the engine contract."""
-        return self.solve_packed(
-            formula.packed(), deadline=deadline, seed=seed, hint=hint
-        )
-
     def solve_packed(
         self,
         packed: PackedCNF,
@@ -174,7 +132,7 @@ class WalkSATAdapter:
         seed: int | None = None,
         hint: Assignment | None = None,
     ) -> SolverOutcome:
-        """Run WalkSAT on a packed kernel (the worker-side race entry)."""
+        """Run WalkSAT under the engine contract."""
         t0 = time.perf_counter()
         res = walksat_solve_packed(
             packed,
@@ -204,9 +162,9 @@ class BruteForceAdapter:
     complete: bool = True
     max_vars: int = min(MAX_BRUTE_VARS, 16)
 
-    def solve(
+    def solve_packed(
         self,
-        formula: CNFFormula,
+        packed: PackedCNF,
         *,
         deadline: float | None = None,
         seed: int | None = None,
@@ -214,13 +172,15 @@ class BruteForceAdapter:
     ) -> SolverOutcome:
         """Enumerate assignments under the engine contract."""
         t0 = time.perf_counter()
-        if formula.num_vars > self.max_vars:
+        if packed.num_vars > self.max_vars:
             return SolverOutcome(
                 UNKNOWN, None, self.name, 0.0,
-                f"{formula.num_vars} vars exceeds brute limit {self.max_vars}",
+                f"{packed.num_vars} vars exceeds brute limit {self.max_vars}",
             )
         try:
-            model = brute_force_solve(formula, deadline=deadline, seed=seed)
+            model = brute_force_solve(
+                packed.to_formula(), deadline=deadline, seed=seed
+            )
         except ReproError as exc:
             return SolverOutcome(
                 UNKNOWN, None, self.name, time.perf_counter() - t0, str(exc)
@@ -228,7 +188,7 @@ class BruteForceAdapter:
         wall = time.perf_counter() - t0
         if model is None:
             return SolverOutcome(UNSAT, None, self.name, wall)
-        return verified_sat(formula, model, self.name, wall)
+        return verified_sat(packed, model, self.name, wall)
 
 
 @dataclass(frozen=True)
@@ -238,9 +198,9 @@ class ExactILPAdapter:
     name: str = "ilp-exact"
     complete: bool = True
 
-    def solve(
+    def solve_packed(
         self,
-        formula: CNFFormula,
+        packed: PackedCNF,
         *,
         deadline: float | None = None,
         seed: int | None = None,
@@ -250,9 +210,9 @@ class ExactILPAdapter:
         from repro.ilp.solver import solve
 
         t0 = time.perf_counter()
-        if formula.has_empty_clause():
+        if packed.has_empty_clause():
             return SolverOutcome(UNSAT, None, self.name, 0.0, "empty clause")
-        encoding = encode_sat(formula)
+        encoding = encode_sat(packed.to_formula())
         warm = encoding.values_from_assignment(hint) if hint is not None else None
         solution = solve(
             encoding.model,
@@ -264,7 +224,7 @@ class ExactILPAdapter:
         wall = time.perf_counter() - t0
         if solution.status.has_solution:
             return verified_sat(
-                formula,
+                packed,
                 encoding.decode(solution, default=False),
                 self.name,
                 wall,
@@ -286,9 +246,9 @@ class HeuristicILPAdapter:
     max_flips: int = 200_000
     max_restarts: int = 10
 
-    def solve(
+    def solve_packed(
         self,
-        formula: CNFFormula,
+        packed: PackedCNF,
         *,
         deadline: float | None = None,
         seed: int | None = None,
@@ -298,9 +258,9 @@ class HeuristicILPAdapter:
         from repro.ilp.solver import solve
 
         t0 = time.perf_counter()
-        if formula.has_empty_clause():
+        if packed.has_empty_clause():
             return SolverOutcome(UNSAT, None, self.name, 0.0, "empty clause")
-        encoding = encode_sat(formula)
+        encoding = encode_sat(packed.to_formula())
         warm = encoding.values_from_assignment(hint) if hint is not None else None
         solution = solve(
             encoding.model,
@@ -315,7 +275,7 @@ class HeuristicILPAdapter:
         wall = time.perf_counter() - t0
         if solution.status.has_solution:
             return verified_sat(
-                formula, encoding.decode(solution, default=False), self.name, wall
+                packed, encoding.decode(solution, default=False), self.name, wall
             )
         return SolverOutcome(UNKNOWN, None, self.name, wall, "budget exhausted")
 

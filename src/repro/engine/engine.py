@@ -1,6 +1,7 @@
 """The :class:`PortfolioEngine` facade: coalesce -> cache -> revalidate -> race.
 
-Query path for ``engine.solve(formula, hint=previous_solution)``:
+Query path for ``engine.solve(packed, hint=previous_solution)``; every
+step reads the instance's :class:`~repro.cnf.packed.PackedCNF` kernel:
 
 1. **Single-flight coalescing** — an fp-v2 identical query already being
    solved by another thread is *joined*, not re-run: the caller parks on
@@ -9,7 +10,7 @@ Query path for ``engine.solve(formula, hint=previous_solution)``:
    :meth:`~PortfolioEngine.solve_many`'s intra-batch dedup across
    requests and threads.
 2. **Hint revalidation** — if the caller's previous solution already
-   satisfies the formula (every loosening EC lands here), it is adopted
+   satisfies the instance (every loosening EC lands here), it is adopted
    and cached; no solver runs.  The hint outranks the cache so a
    still-valid current solution is never churned for an older cached
    model — minimal perturbation is the EC objective.
@@ -49,10 +50,9 @@ from typing import Iterable
 
 from repro import faults
 from repro.cnf.assignment import Assignment
-from repro.cnf.formula import CNFFormula
+from repro.cnf.packed import PackedCNF
 from repro.engine.cache import CacheBackend, SolutionCache
 from repro.engine.config import EngineConfig, SolverConfig
-from repro.engine.fingerprint import fingerprint_v2
 from repro.engine.portfolio import DEFAULT_QUICK_SLICE, Portfolio
 from repro.engine.protocol import SAT, UNSAT, SolveResponse
 from repro.obs import tracing
@@ -161,7 +161,7 @@ class PortfolioEngine:
     # ------------------------------------------------------------------
     def solve(
         self,
-        formula: CNFFormula,
+        cnf: PackedCNF,
         *,
         deadline: float | None = None,
         seed: int | None = None,
@@ -169,7 +169,7 @@ class PortfolioEngine:
         use_cache: bool = True,
         lead: str | None = None,
     ) -> SolveResponse:
-        """Answer a satisfiability query: coalesce, then cache/hint/race.
+        """Answer a query on the kernel *cnf*: coalesce, then cache/hint/race.
 
         Args:
             lead: per-race lead-solver override forwarded to
@@ -177,12 +177,12 @@ class PortfolioEngine:
                 engineering changes).
         """
         t0 = time.perf_counter()
-        # fp-v2 is incrementally maintained on the formula's packed
-        # kernel: the first query pays O(clauses) once, every query after
-        # an EC edit pays O(changed clauses).  Skipped entirely when the
-        # caller bypasses the cache — which also opts out of coalescing
-        # (no fingerprint, no coalescing key).
-        fp = fingerprint_v2(formula) if use_cache else ""
+        # fp-v2 is incrementally maintained on the kernel: the first
+        # query pays O(clauses) once, every query after an EC edit pays
+        # O(changed clauses).  Skipped entirely when the caller bypasses
+        # the cache — which also opts out of coalescing (no fingerprint,
+        # no coalescing key).
+        fp = cnf.fingerprint() if use_cache else ""
 
         flight: _InFlight | None = None
         if use_cache:
@@ -200,7 +200,7 @@ class PortfolioEngine:
                 if sp is not None and flight is not None:
                     flight.span_id = sp.span_id
                 result = self._solve_pipeline(
-                    formula, fp, deadline=deadline, seed=seed, hint=hint,
+                    cnf, fp, deadline=deadline, seed=seed, hint=hint,
                     use_cache=use_cache, lead=lead, delta=delta, t0=t0,
                 )
                 if sp is not None:
@@ -257,7 +257,7 @@ class PortfolioEngine:
 
     def _solve_pipeline(
         self,
-        formula: CNFFormula,
+        cnf: PackedCNF,
         fp: str,
         *,
         deadline: float | None,
@@ -282,7 +282,7 @@ class PortfolioEngine:
         # methodology tries to preserve.  One ``cache.lookup`` stage spans
         # both checks; its ``tier`` tag records which answered.
         with tracing.stage("cache.lookup") as sp:
-            if hint is not None and formula.is_satisfied(hint):
+            if hint is not None and cnf.is_satisfied(hint):
                 delta["revalidations"] += 1
                 model = hint.copy()
                 if use_cache:
@@ -299,7 +299,7 @@ class PortfolioEngine:
                 with self.lock:
                     entry = self.cache.get(fp)
                 if entry is not None:
-                    if entry.satisfiable and formula.is_satisfied(entry.assignment):
+                    if entry.satisfiable and cnf.is_satisfied(entry.assignment):
                         delta["cache_hits"] += 1
                         if sp is not None:
                             sp.tags["tier"] = "hit-sat"
@@ -329,7 +329,7 @@ class PortfolioEngine:
 
         delta["races"] += 1
         result = self.portfolio.solve(
-            formula, deadline=deadline, seed=seed, hint=hint, lead=lead
+            cnf, deadline=deadline, seed=seed, hint=hint, lead=lead
         )
         # Racers cancelled before their solver started are excluded;
         # racers abandoned mid-run still count, so this is exact for the
@@ -364,7 +364,7 @@ class PortfolioEngine:
     # ------------------------------------------------------------------
     def solve_many(
         self,
-        formulas: Iterable[CNFFormula],
+        cnfs: Iterable[PackedCNF],
         *,
         deadline: float | None = None,
         seed: int | None = None,
@@ -395,13 +395,12 @@ class PortfolioEngine:
 
         Returns:
             One :class:`~repro.engine.protocol.SolveResponse` per
-            formula, in input order.
+            kernel in *cnfs*, in input order.
         """
-        formulas = list(formulas)
         results: list[SolveResponse] = []
         first_by_fp: dict[str, int] = {}
-        for formula in formulas:
-            fp = fingerprint_v2(formula)
+        for cnf in cnfs:
+            fp = cnf.fingerprint()
             prior = first_by_fp.get(fp)
             if prior is not None:
                 self.metrics.bump(counts={"solves": 1, "batch_dedups": 1})
@@ -410,7 +409,7 @@ class PortfolioEngine:
                 )
                 continue
             result = self.solve(
-                formula,
+                cnf,
                 deadline=deadline,
                 seed=seed,
                 use_cache=use_cache,

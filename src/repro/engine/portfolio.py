@@ -13,8 +13,7 @@ Strategy (classic parallel-portfolio with a twist for serial hardware):
    (:meth:`~repro.cnf.packed.PackedCNF.to_bytes` — flat literal arrays
    plus a clause-offset index), not a pickled ``CNFFormula`` object
    graph; deserialization is a couple of C-level array copies, and
-   solvers with a ``solve_packed`` entry point consume the arrays
-   directly.
+   every adapter's ``solve_packed`` entry point takes the kernel.
 
 The pool is **shared between concurrent races**.  Where the pre-PR-7
 design kept one engine-global cancellation event (forcing the engine to
@@ -60,7 +59,6 @@ from dataclasses import dataclass, field
 
 from repro import faults
 from repro.cnf.assignment import Assignment
-from repro.cnf.formula import CNFFormula
 from repro.cnf.packed import PackedCNF
 from repro.engine.config import (
     DEFAULT_QUICK_SLICE,
@@ -82,10 +80,27 @@ def _init_worker(cancel_slots) -> None:
     parent's handlers, and ``repro serve`` handles SIGTERM as "drain";
     a worker that kept that handler would ignore the ``terminate()``
     with which the pool is torn down.
+
+    And it starts a thread that exits the worker once its parent dies:
+    orphans of a SIGKILLed daemon would otherwise block on the call queue
+    forever, holding its inherited listening socket.  (``PR_SET_PDEATHSIG``
+    fires when the forking *thread* exits, and a daemon forks its pool
+    from a per-connection handler thread.)
     """
     global _CANCEL_SLOTS
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _CANCEL_SLOTS = cancel_slots
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),),
+        name="repro-parent-watch", daemon=True,
+    ).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit this worker once it is re-parented (polled every 0.5 s)."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
 
 
 def _slot_cancelled(slot) -> bool:
@@ -106,22 +121,16 @@ def run_packed(
     """Run one configuration on a packed kernel — the one racer entry,
     in pool workers and in-process alike.
 
-    Adapters with a ``solve_packed`` entry point consume the flat arrays
-    directly; the rest (brute force, the ILP routes) get a materialized
-    formula.  Any crash maps to an ``unknown`` outcome: a crashed racer
-    must not kill the race.  The effective solver seed is
+    Any crash maps to an ``unknown`` outcome: a crashed racer must not
+    kill the race.  The effective solver seed is
     ``(seed or 0) + config.seed_offset`` so a single race seed still
     diversifies identical adapters.
     """
     t0 = time.perf_counter()
     try:
-        adapter = config.build()
-        solve_packed = getattr(adapter, "solve_packed", None)
         effective = (0 if seed is None else seed) + config.seed_offset
-        if solve_packed is not None:
-            return solve_packed(packed, deadline=deadline, seed=effective, hint=hint)
-        return adapter.solve(
-            packed.to_formula(), deadline=deadline, seed=effective, hint=hint
+        return config.build().solve_packed(
+            packed, deadline=deadline, seed=effective, hint=hint
         )
     except Exception as exc:  # a crashed racer must not kill the race
         return SolverOutcome(
@@ -548,14 +557,14 @@ class Portfolio:
     # ------------------------------------------------------------------
     def solve(
         self,
-        formula: CNFFormula,
+        packed: PackedCNF,
         *,
         deadline: float | None = None,
         seed: int | None = None,
         hint: Assignment | None = None,
         lead: str | None = None,
     ) -> PortfolioResult:
-        """Race the line-up on *formula*; see the module docstring.
+        """Race the line-up on the kernel *packed*; see the module docstring.
 
         Safe to call from any number of threads at once — each call runs
         its own race over the shared pool.
@@ -579,9 +588,6 @@ class Portfolio:
                 configs = promoted + [c for c in configs if c.name != lead]
         outcomes: list[SolverOutcome] = []
         launched = 0
-        # Every racer, in-process or pooled, runs on the formula's cached
-        # packed kernel; pool workers get its wire bytes.
-        packed = formula.packed()
 
         # Phase 1: in-process quick slice on the lead configuration.
         if self.quick_slice > 0:

@@ -6,7 +6,8 @@ branch and bound or iterative improvement), each with its own calling
 convention.  The engine needs to race and cache them interchangeably, so
 this module fixes one contract:
 
-* ``solve(formula, *, deadline=None, seed=None, hint=None)`` returns a
+* ``solve_packed(packed, *, deadline=None, seed=None, hint=None)`` takes
+  the flat :class:`~repro.cnf.packed.PackedCNF` kernel and returns a
   :class:`SolverOutcome`;
 * ``deadline`` is a wall-clock budget in **seconds for this call** (not an
   absolute timestamp — budgets survive pickling into worker processes);
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.formula import CNFFormula
+from repro.cnf.packed import PackedCNF
 
 #: Outcome status values.
 SAT = "sat"
@@ -121,7 +122,8 @@ class Solver(Protocol):
     """Anything the portfolio can race.
 
     Implementations must be picklable (they cross a process boundary) and
-    deterministic given (formula, seed).
+    deterministic given (instance, seed).  An adapter that needs clause
+    objects builds them itself (``packed.to_formula()``).
 
     The call contract, shared by every adapter and relied on by the
     differential test harness:
@@ -131,14 +133,14 @@ class Solver(Protocol):
       into worker processes).  On expiry the solver returns ``unknown``;
       it never raises.  ``None`` means unlimited.
     * ``seed`` makes any randomized choice deterministic: two calls with
-      the same (formula, seed) must produce the same outcome.  Complete
+      the same (instance, seed) must produce the same outcome.  Complete
       solvers may use it only for diversification (branching order);
       ``None`` selects each solver's legacy default order.
     * ``hint`` is a previous assignment used as a warm start / initial
       phase.  A hint must never change the *verdict*, only how fast a
       model is found; solvers are free to ignore it.
     * ``sat`` outcomes always carry a model verified against the exact
-      formula argument; ``unsat`` may only be returned when
+      kernel argument; ``unsat`` may only be returned when
       ``complete`` is True (the verdict is a proof); everything else —
       budget exhausted, deadline hit, internal error — is ``unknown``.
     """
@@ -148,20 +150,20 @@ class Solver(Protocol):
     #: Whether an ``unsat`` verdict from this solver is a proof.
     complete: bool
 
-    def solve(
+    def solve_packed(
         self,
-        formula: CNFFormula,
+        packed: PackedCNF,
         *,
         deadline: float | None = None,
         seed: int | None = None,
         hint: Assignment | None = None,
     ) -> SolverOutcome:
-        """Solve *formula* within the wall-clock budget ``deadline``."""
+        """Solve *packed* within the wall-clock budget ``deadline``."""
         ...
 
 
 def verified_sat(
-    formula,
+    packed: PackedCNF,
     assignment: Assignment | None,
     solver: str,
     wall_time: float,
@@ -171,13 +173,11 @@ def verified_sat(
     """Build a ``sat`` outcome, downgrading to ``unknown`` on a bad model.
 
     Every adapter funnels its satisfiable results through this check so a
-    buggy backend can never poison the cache with a non-model.  *formula*
-    is anything with ``is_satisfied(assignment)`` — a
-    :class:`~repro.cnf.formula.CNFFormula` or a
-    :class:`~repro.cnf.packed.PackedCNF` (packed adapters verify against
-    the flat arrays without materializing clause objects).
+    buggy backend can never poison the cache with a non-model.  The model
+    is checked against the kernel the adapter was handed, over its flat
+    arrays.
     """
-    if assignment is not None and formula.is_satisfied(assignment):
+    if assignment is not None and packed.is_satisfied(assignment):
         return SolverOutcome(SAT, assignment, solver, wall_time, detail, stats)
     return SolverOutcome(
         UNKNOWN, None, solver, wall_time,

@@ -18,7 +18,7 @@ an execution policy here:
   change chain learning dominates by orders of magnitude.
 
 Sessions are tenants of the :class:`~repro.service.SolverService`
-facade: every engine query goes through
+facade: every engine query hands ``formula.packed()`` to
 :meth:`~repro.service.service.SolverService.query`, so N sessions share
 one pool, one verdict cache, and one single-flight in-flight table —
 queries from *different* sessions overlap end-to-end, coalescing only
@@ -161,7 +161,7 @@ class IncrementalSession:
         """
         with self.lock:
             response = self._service.query(
-                self.formula, deadline=deadline, seed=seed,
+                self.formula.packed(), deadline=deadline, seed=seed,
                 hint=self.assignment, use_cache=use_cache, lead=lead,
             )
             if response.status == SAT:
@@ -239,7 +239,7 @@ class IncrementalSession:
                     regime=regime,
                 )
             response = self._service.query(
-                self.formula, deadline=deadline, seed=seed,
+                self.formula.packed(), deadline=deadline, seed=seed,
                 hint=self.assignment, lead="cdcl",
             )
             if response.status == SAT:

@@ -372,23 +372,23 @@ class ServiceClient:
 
     def solve_many(
         self,
-        formulas: list,
+        cnfs: list,
         *,
         deadline: float | None = None,
         seed: int | None = None,
         use_cache: bool = True,
         lead: str | None = None,
     ) -> list[SolveResponse]:
-        """Ship a whole batch in one frame (wire-level ``solve_many``).
+        """Ship a batch of packed kernels in one frame (``solve_many``).
 
         Mirrors :meth:`SolverService.solve_many`: one shared pool and
         intra-batch fingerprint dedup on the daemon side, one network
         round trip instead of N on this side.  The replay driver uses
         this for batched trace segments.
         """
-        span = self._root_span("client.solve_many", batch=len(formulas))
+        span = self._root_span("client.solve_many", batch=len(cnfs))
         header, payload = batch_request_to_wire(
-            formulas,
+            cnfs,
             deadline=deadline,
             seed=seed,
             use_cache=use_cache,

@@ -264,10 +264,10 @@ class ServiceDaemon(FrameServer):
             request = self._parse(lambda: change_request_from_wire(header))
             return response_to_wire(self.service.change(request)), False
         if op == "solve_many":
-            formulas, options = self._parse(
+            cnfs, options = self._parse(
                 lambda: batch_request_from_wire(header, payload)
             )
-            responses = self.service.solve_many(formulas, **options)
+            responses = self.service.solve_many(cnfs, **options)
             return {
                 "ok": True,
                 "results": [response_to_wire(r) for r in responses],

@@ -173,7 +173,7 @@ class SolverService:
     # ------------------------------------------------------------------
     def query(
         self,
-        formula: CNFFormula,
+        cnf: PackedCNF,
         *,
         deadline: float | None = None,
         seed: int | None = None,
@@ -181,17 +181,17 @@ class SolverService:
         use_cache: bool = True,
         lead: str | None = None,
     ) -> SolveResponse:
-        """One query against the shared engine — lock-free on this layer.
+        """One query on the kernel *cnf* — lock-free on this layer.
 
         This is the single point where the facade touches
-        :meth:`PortfolioEngine.solve`; sessions and the flow shim call
-        it instead of holding their own engines.  Concurrent callers on
-        distinct fingerprints overlap inside the engine; identical
-        fingerprints coalesce onto one in-flight race.
+        :meth:`PortfolioEngine.solve`; sessions hand it
+        ``formula.packed()`` instead of holding their own engines.
+        Concurrent callers on distinct fingerprints overlap inside the
+        engine; identical fingerprints coalesce onto one in-flight race.
         """
         self._check_open()
         return self.engine.solve(
-            formula, deadline=deadline, seed=seed, hint=hint,
+            cnf, deadline=deadline, seed=seed, hint=hint,
             use_cache=use_cache, lead=lead,
         )
 
@@ -283,10 +283,10 @@ class SolverService:
         self._check_open()
         if request.session is not None:
             return self._solve_in_session(request)
-        formula = self._materialize(request)
+        cnf = self._materialize(request)
         if request.strategy == PORTFOLIO_STRATEGY:
             return self.query(
-                formula,
+                cnf,
                 deadline=request.deadline,
                 seed=request.seed,
                 hint=request.hint,
@@ -294,8 +294,8 @@ class SolverService:
                 lead=request.lead,
             )
         if request.strategy == ILP_STRATEGY:
-            return self._solve_ilp(formula, request)
-        return self._solve_single(formula, request)
+            return self._solve_ilp(cnf, request)
+        return self._solve_single(cnf, request)
 
     def change(self, request: ChangeRequest) -> SolveResponse:
         """Apply a change batch to a named session and re-solve.
@@ -411,7 +411,7 @@ class SolverService:
 
     def solve_many(
         self,
-        formulas: Iterable[CNFFormula],
+        cnfs: Iterable[PackedCNF],
         *,
         deadline: float | None = None,
         seed: int | None = None,
@@ -423,30 +423,30 @@ class SolverService:
         Wraps :meth:`PortfolioEngine.solve_many` (no service lock — the
         batch interleaves freely with concurrent queries, coalescing via
         the in-flight table on fingerprint collisions); one
-        :class:`SolveResponse` per formula, in input order.  Remote
+        :class:`SolveResponse` per kernel, in input order.  Remote
         clients reach this through the daemon's ``solve_many`` op (one
-        frame per batch).
+        frame per batch, decoded straight to kernels).
         """
         t0 = time.perf_counter()
         self._check_open()
-        formulas = list(formulas)
+        cnfs = list(cnfs)
         self.metrics.adjust_gauge("inflight", 1)
         responses = None
         try:
             responses = self.engine.solve_many(
-                formulas, deadline=deadline, seed=seed,
+                cnfs, deadline=deadline, seed=seed,
                 use_cache=use_cache, lead=lead,
             )
         finally:
             self.metrics.adjust_gauge("inflight", -1)
-            if formulas:
+            if cnfs:
                 self._count_request(
-                    None, len(formulas),
+                    None, len(cnfs),
                     errors=0 if responses is not None else 1,
                 )
         if self.recorder is not None:
             self.recorder.record_solve_many(
-                formulas,
+                cnfs,
                 {"deadline": deadline, "seed": seed,
                  "use_cache": use_cache, "lead": lead},
                 responses,
@@ -549,11 +549,15 @@ class SolverService:
                     "to modify it or a sourceless request to re-query it"
                 )
         if session is None:
+            # A session edits clause objects: built here, once per session.
+            formula = request.formula
+            if formula is None:
+                formula = self._materialize(request).to_formula()
             # Two concurrent creators race to open_session's own check:
             # exactly one wins, the other gets the "already exists" error.
             response = self.open_session(
                 name,
-                self._materialize(request),
+                formula,
                 deadline=request.deadline,
                 seed=request.seed,
                 use_cache=request.use_cache,
@@ -579,7 +583,7 @@ class SolverService:
     # non-portfolio strategies
     # ------------------------------------------------------------------
     def _solve_single(
-        self, formula: CNFFormula, request: SolveRequest
+        self, cnf: PackedCNF, request: SolveRequest
     ) -> SolveResponse:
         """Run one named solver adapter under the uniform contract."""
         from repro.engine.adapters import ADAPTERS, build_adapter
@@ -590,8 +594,8 @@ class SolverService:
                 f"'portfolio', 'ilp', or one of {sorted(ADAPTERS)})"
             )
         adapter = build_adapter(request.strategy)
-        outcome = adapter.solve(
-            formula, deadline=request.deadline, seed=request.seed,
+        outcome = adapter.solve_packed(
+            cnf, deadline=request.deadline, seed=request.seed,
             hint=request.hint,
         )
         return SolveResponse(
@@ -604,17 +608,15 @@ class SolverService:
         )
 
     def _solve_ilp(
-        self, formula: CNFFormula, request: SolveRequest
+        self, cnf: PackedCNF, request: SolveRequest
     ) -> SolveResponse:
         """The paper's SAT -> set-cover -> 0-1 ILP route."""
-        import time
-
         from repro.ilp.solver import solve
         from repro.ilp.status import SolveStatus
         from repro.sat.encoding import encode_sat
 
         t0 = time.perf_counter()
-        encoding = encode_sat(formula)
+        encoding = encode_sat(cnf.to_formula())
         solution = solve(
             encoding.model, method=request.method,
             deadline=request.deadline, seed=request.seed,
@@ -642,16 +644,17 @@ class SolverService:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def _materialize(self, request: SolveRequest) -> CNFFormula:
-        """The request's formula, whichever source carried it."""
+    def _materialize(self, request: SolveRequest) -> PackedCNF:
+        """The request's packed kernel, whichever source carried it (wire
+        bytes stop at :meth:`PackedCNF.from_bytes`)."""
         if request.formula is not None:
-            return request.formula
+            return request.formula.packed()
         if request.packed_bytes is not None:
-            return PackedCNF.from_bytes(request.packed_bytes).to_formula()
+            return PackedCNF.from_bytes(request.packed_bytes)
         if request.dimacs_path is not None:
             from repro.cnf.dimacs import read_dimacs
 
-            return read_dimacs(request.dimacs_path)
+            return read_dimacs(request.dimacs_path).packed()
         raise ServiceError("request carries no formula source")
 
     def stats(self) -> dict:

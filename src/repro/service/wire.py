@@ -305,7 +305,7 @@ def change_request_from_wire(header: dict) -> ChangeRequest:
 
 
 def batch_request_to_wire(
-    formulas: list,
+    cnfs: list,
     *,
     deadline: float | None = None,
     seed: int | None = None,
@@ -313,14 +313,14 @@ def batch_request_to_wire(
     lead: str | None = None,
     trace: dict | None = None,
 ) -> tuple[dict, bytes]:
-    """(header, payload) for a ``solve_many`` batch request.
+    """(header, payload) for a ``solve_many`` batch of packed kernels.
 
-    The payload concatenates each instance's packed wire bytes; the
-    header's ``lens`` list is the split index.  One frame per batch —
-    the replay driver ships whole trace segments this way instead of
-    paying a round trip per instance.
+    The payload concatenates each kernel's wire bytes; the header's
+    ``lens`` list is the split index.  One frame per batch — the replay
+    driver ships whole trace segments this way instead of paying a
+    round trip per instance.
     """
-    payloads = [f.packed().to_bytes() for f in formulas]
+    payloads = [cnf.to_bytes() for cnf in cnfs]
     header = {
         "op": "solve_many",
         "lens": [len(p) for p in payloads],
@@ -335,7 +335,7 @@ def batch_request_to_wire(
 
 
 def batch_request_from_wire(header: dict, payload: bytes) -> tuple[list, dict]:
-    """(formulas, shared options) for a ``solve_many`` request frame."""
+    """(packed kernels, shared options) for a ``solve_many`` frame."""
     lens = header.get("lens", [])
     if not isinstance(lens, list) or any(
         not isinstance(n, int) or n <= 0 for n in lens
@@ -346,10 +346,10 @@ def batch_request_from_wire(header: dict, payload: bytes) -> tuple[list, dict]:
             f"solve_many payload is {len(payload)} bytes but 'lens' sums "
             f"to {sum(lens)}"
         )
-    formulas = []
+    cnfs = []
     offset = 0
     for n in lens:
-        formulas.append(PackedCNF.from_bytes(payload[offset:offset + n]).to_formula())
+        cnfs.append(PackedCNF.from_bytes(payload[offset:offset + n]))
         offset += n
     options = {
         "deadline": header.get("deadline"),
@@ -357,7 +357,7 @@ def batch_request_from_wire(header: dict, payload: bytes) -> tuple[list, dict]:
         "use_cache": bool(header.get("use_cache", True)),
         "lead": header.get("lead"),
     }
-    return formulas, options
+    return cnfs, options
 
 
 def batch_response_from_wire(header: dict) -> list[SolveResponse]:

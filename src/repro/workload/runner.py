@@ -562,11 +562,11 @@ def verify_results(
 
 
 def _materialize(request: SolveRequest):
-    """The formula a stateless solve request carries (None for paths)."""
+    """The kernel a stateless solve request carries (None for paths)."""
     if request.formula is not None:
-        return request.formula
+        return request.formula.packed()
     if request.packed_bytes is not None:
-        return PackedCNF.from_bytes(request.packed_bytes).to_formula()
+        return PackedCNF.from_bytes(request.packed_bytes)
     return None
 
 

@@ -56,6 +56,7 @@ from typing import Callable
 from repro.cnf.clause import Clause
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import random_clause, random_planted_ksat
+from repro.cnf.packed import PackedCNF
 from repro.core.change import (
     AddClause,
     AddVariable,
@@ -77,7 +78,7 @@ class WorkloadEvent:
         kind: one of :data:`EVENT_KINDS`.
         request: the typed record for ``solve`` / ``change`` events.
         session: target session name for ``close_session`` events.
-        formulas: the batch for ``solve_many`` events.
+        formulas: the batch of packed kernels for ``solve_many`` events.
         options: shared ``solve_many`` options (deadline/seed/
             use_cache/lead), or None for defaults.
         at: optional open-loop due time (seconds from stream start);
@@ -87,7 +88,7 @@ class WorkloadEvent:
     kind: str
     request: SolveRequest | ChangeRequest | None = None
     session: str | None = None
-    formulas: tuple[CNFFormula, ...] = ()
+    formulas: tuple[PackedCNF, ...] = ()
     options: dict | None = None
     at: float | None = None
 

@@ -135,9 +135,9 @@ def record_to_event(record: TraceRecord) -> WorkloadEvent:
             "close_session", session=record.header.get("session", ""), at=record.at
         )
     if record.op == "solve_many":
-        formulas, options = batch_request_from_wire(record.header, record.payload)
+        cnfs, options = batch_request_from_wire(record.header, record.payload)
         return WorkloadEvent(
-            "solve_many", formulas=tuple(formulas), options=options, at=record.at
+            "solve_many", formulas=tuple(cnfs), options=options, at=record.at
         )
     raise TraceError(f"unknown trace op {record.op!r}")
 
@@ -272,12 +272,12 @@ class TraceRecorder:
 
     def record_solve_many(
         self,
-        formulas: list,
+        cnfs: list,
         options: dict,
         responses: list[SolveResponse],
         wall: float,
     ) -> None:
-        header, payload = batch_request_to_wire(formulas, **options)
+        header, payload = batch_request_to_wire(cnfs, **options)
         self.record(
             "solve_many",
             header,

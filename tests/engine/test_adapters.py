@@ -29,13 +29,13 @@ COMPLETE = [a for a in ALL if a.complete]
 @pytest.fixture(scope="module")
 def sat_instance():
     f, _w = random_planted_ksat(12, 36, rng=2)
-    return f
+    return f.packed()
 
 
 @pytest.fixture(scope="module")
 def unsat_instance():
     # pigeonhole-flavoured tiny UNSAT core.
-    return CNFFormula([[1, 2], [1, -2], [-1, 2], [-1, -2]])
+    return CNFFormula([[1, 2], [1, -2], [-1, 2], [-1, -2]]).packed()
 
 
 class TestContract:
@@ -45,44 +45,44 @@ class TestContract:
 
     @pytest.mark.parametrize("adapter", ALL, ids=lambda a: a.name)
     def test_sat_outcome_carries_verified_model(self, adapter, sat_instance):
-        out = adapter.solve(sat_instance, seed=0)
+        out = adapter.solve_packed(sat_instance, seed=0)
         assert out.status == SAT
         assert sat_instance.is_satisfied(out.assignment)
         assert out.solver == adapter.name
 
     @pytest.mark.parametrize("adapter", COMPLETE, ids=lambda a: a.name)
     def test_complete_adapters_prove_unsat(self, adapter, unsat_instance):
-        out = adapter.solve(unsat_instance, seed=0)
+        out = adapter.solve_packed(unsat_instance, seed=0)
         assert out.status == UNSAT and out.assignment is None
 
     def test_incomplete_walksat_reports_unknown_on_unsat(self, unsat_instance):
-        out = WalkSATAdapter(max_flips=200, max_restarts=1).solve(
+        out = WalkSATAdapter(max_flips=200, max_restarts=1).solve_packed(
             unsat_instance, seed=0
         )
         assert out.status == UNKNOWN
 
     @pytest.mark.parametrize("adapter", ALL, ids=lambda a: a.name)
     def test_hint_accepted(self, adapter, sat_instance):
-        hint = adapter.solve(sat_instance, seed=0).assignment
-        out = adapter.solve(sat_instance, seed=0, hint=hint)
+        hint = adapter.solve_packed(sat_instance, seed=0).assignment
+        out = adapter.solve_packed(sat_instance, seed=0, hint=hint)
         assert out.status == SAT
 
 
 class TestBudgets:
     def test_walksat_deadline_returns_unknown(self, unsat_instance):
-        out = WalkSATAdapter(max_flips=10**9, max_restarts=10**6).solve(
+        out = WalkSATAdapter(max_flips=10**9, max_restarts=10**6).solve_packed(
             unsat_instance, deadline=0.01, seed=0
         )
         assert out.status == UNKNOWN
 
     def test_brute_oversize_returns_unknown(self):
         f, _ = random_planted_ksat(20, 40, rng=1)
-        out = BruteForceAdapter(max_vars=10).solve(f)
+        out = BruteForceAdapter(max_vars=10).solve_packed(f.packed())
         assert out.status == UNKNOWN and "exceeds" in out.detail
 
     def test_dpll_decision_budget_returns_unknown(self):
         f, _ = random_planted_ksat(30, 120, rng=5)
-        out = DPLLAdapter(max_decisions=1).solve(f, seed=0)
+        out = DPLLAdapter(max_decisions=1).solve_packed(f.packed(), seed=0)
         assert out.status in (UNKNOWN, SAT)  # 1 decision may suffice
 
 
@@ -91,6 +91,11 @@ class TestRegistry:
         for kind in ADAPTERS:
             adapter = build_adapter(kind)
             assert isinstance(adapter, Solver)
+
+    def test_one_entry_point_per_adapter(self):
+        for cls in ADAPTERS.values():
+            assert callable(getattr(cls, "solve_packed", None))
+            assert not hasattr(cls, "solve")
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ReproError):

@@ -25,37 +25,37 @@ def sat_instance():
 
 class TestCachePath:
     def test_repeat_query_hits_cache_without_solving(self, engine, sat_instance):
-        first = engine.solve(sat_instance)
+        first = engine.solve(sat_instance.packed())
         assert first.status == "sat" and not first.from_cache
         calls = engine.counters()["solver_calls"]
-        second = engine.solve(sat_instance)
+        second = engine.solve(sat_instance.packed())
         assert second.from_cache and second.source == "cache"
         assert engine.counters()["solver_calls"] == calls
         assert sat_instance.is_satisfied(second.assignment)
 
     def test_reordered_formula_hits_same_entry(self, engine, sat_instance):
-        engine.solve(sat_instance)
+        engine.solve(sat_instance.packed())
         calls = engine.counters()["solver_calls"]
         reordered = CNFFormula(list(reversed(sat_instance.clauses)))
-        assert engine.solve(reordered).from_cache
+        assert engine.solve(reordered.packed()).from_cache
         assert engine.counters()["solver_calls"] == calls
 
     def test_dimacs_roundtrip_hits_same_entry(self, engine, sat_instance):
-        engine.solve(sat_instance)
+        engine.solve(sat_instance.packed())
         calls = engine.counters()["solver_calls"]
         again = parse_dimacs(to_dimacs(sat_instance))
-        assert engine.solve(again).from_cache
+        assert engine.solve(again.packed()).from_cache
         assert engine.counters()["solver_calls"] == calls
 
     def test_unsat_verdict_cached(self, engine):
         unsat = CNFFormula([[1, 2], [1, -2], [-1, 2], [-1, -2]])
-        assert engine.solve(unsat).status == "unsat"
-        second = engine.solve(unsat)
+        assert engine.solve(unsat.packed()).status == "unsat"
+        second = engine.solve(unsat.packed())
         assert second.status == "unsat" and second.from_cache
 
     def test_use_cache_false_bypasses(self, engine, sat_instance):
-        engine.solve(sat_instance)
-        result = engine.solve(sat_instance, use_cache=False)
+        engine.solve(sat_instance.packed())
+        result = engine.solve(sat_instance.packed(), use_cache=False)
         assert not result.from_cache
 
     def test_poisoned_entry_dropped_and_resolved(self, engine, sat_instance):
@@ -68,29 +68,29 @@ class TestCachePath:
         if sat_instance.is_satisfied(bogus):  # pragma: no cover - paranoia
             pytest.skip("bogus assignment accidentally satisfies")
         engine.cache.put(fp, True, bogus, solver="poison")
-        result = engine.solve(sat_instance)
+        result = engine.solve(sat_instance.packed())
         assert result.status == "sat" and not result.from_cache
         assert sat_instance.is_satisfied(result.assignment)
 
 
 class TestRevalidationPath:
     def test_valid_hint_short_circuits_solvers(self, engine, sat_instance):
-        model = engine.solve(sat_instance).assignment
+        model = engine.solve(sat_instance.packed()).assignment
         loosened = sat_instance.copy()
         loosened.remove_clause_at(0)
         calls = engine.counters()["solver_calls"]
-        result = engine.solve(loosened, hint=model)
+        result = engine.solve(loosened.packed(), hint=model)
         assert result.status == "sat" and result.source == "revalidation"
         assert engine.counters()["solver_calls"] == calls
         # ... and the revalidated model was cached for next time.
-        assert engine.solve(loosened).from_cache
+        assert engine.solve(loosened.packed()).from_cache
 
     def test_stale_hint_falls_through_to_race(self, engine):
         f = CNFFormula([[1], [2]])
         from repro.cnf.assignment import Assignment
 
         stale = Assignment({1: True, 2: False})
-        result = engine.solve(f, hint=stale)
+        result = engine.solve(f.packed(), hint=stale)
         assert result.status == "sat"
         assert result.source not in ("cache", "revalidation")
         assert f.is_satisfied(result.assignment)
@@ -100,33 +100,33 @@ class TestSharedCache:
     def test_two_engines_one_cache(self, sat_instance):
         shared = SolutionCache()
         with PortfolioEngine(jobs=1, cache=shared) as a:
-            a.solve(sat_instance)
+            a.solve(sat_instance.packed())
         with PortfolioEngine(jobs=1, cache=shared) as b:
-            result = b.solve(sat_instance)
+            result = b.solve(sat_instance.packed())
             assert result.from_cache
             assert b.counters()["solver_calls"] == 0
 
 
 class TestWinnerMetadata:
     def test_race_surfaces_winner(self, engine, sat_instance):
-        result = engine.solve(sat_instance, use_cache=False)
+        result = engine.solve(sat_instance.packed(), use_cache=False)
         assert result.winner == "cdcl"          # the default lead
         assert result.source == result.winner
 
     def test_cache_hit_has_no_winner(self, engine, sat_instance):
-        engine.solve(sat_instance)
-        cached = engine.solve(sat_instance)
+        engine.solve(sat_instance.packed())
+        cached = engine.solve(sat_instance.packed())
         assert cached.from_cache and cached.winner is None
 
     def test_revalidation_has_no_winner(self, engine, sat_instance):
-        model = engine.solve(sat_instance).assignment
+        model = engine.solve(sat_instance.packed()).assignment
         loosened = sat_instance.copy()
         loosened.remove_clause_at(0)
-        result = engine.solve(loosened, hint=model)
+        result = engine.solve(loosened.packed(), hint=model)
         assert result.source == "revalidation" and result.winner is None
 
     def test_lead_override_forwarded_to_race(self, engine, sat_instance):
-        result = engine.solve(sat_instance, use_cache=False, lead="dpll")
+        result = engine.solve(sat_instance.packed(), use_cache=False, lead="dpll")
         assert result.winner == "dpll"
 
 
@@ -135,11 +135,11 @@ class TestHintOutranksCache:
         from repro.cnf.assignment import Assignment
 
         f = CNFFormula([[1, 2], [2, 3]])
-        first = engine.solve(f)                      # caches some model M1
+        first = engine.solve(f.packed())                      # caches some model M1
         other = Assignment({1: False, 2: True, 3: False})
         assert f.is_satisfied(other)
         assert other.as_dict() != first.assignment.as_dict()
-        result = engine.solve(f, hint=other)
+        result = engine.solve(f.packed(), hint=other)
         assert result.source == "revalidation"
         assert result.assignment.as_dict() == other.as_dict()
 
@@ -148,7 +148,7 @@ class TestSolveMany:
     def test_results_in_input_order(self, engine):
         sat = CNFFormula([[1, 2], [2, 3]])
         unsat = CNFFormula([[1, 2], [1, -2], [-1, 2], [-1, -2]])
-        results = engine.solve_many([sat, unsat])
+        results = engine.solve_many([sat.packed(), unsat.packed()])
         assert [r.status for r in results] == ["sat", "unsat"]
         assert sat.is_satisfied(results[0].assignment)
 
@@ -160,7 +160,7 @@ class TestSolveMany:
             CNFFormula(list(reversed(sat_instance.clauses))),
             parse_dimacs(to_dimacs(sat_instance)),
         ]
-        results = engine.solve_many(variants)
+        results = engine.solve_many([v.packed() for v in variants])
         assert engine.counters()["batch_dedups"] == 2
         assert [r.source for r in results[1:]] == ["batch-dedup", "batch-dedup"]
         assert all(r.status == "sat" for r in results)
@@ -170,7 +170,9 @@ class TestSolveMany:
     def test_dedup_results_own_their_models(self, engine, sat_instance):
         # Mutating one batch result's assignment must not leak into its
         # dedup siblings (same invariant as SolutionCache's per-hit copy).
-        results = engine.solve_many([sat_instance, sat_instance.copy()])
+        results = engine.solve_many(
+            [sat_instance.packed(), sat_instance.copy().packed()]
+        )
         first, second = results
         var = sat_instance.variables[0]
         first.assignment[var] = not first.assignment.get(var)
@@ -178,7 +180,8 @@ class TestSolveMany:
 
     def test_dedup_even_with_cache_bypassed(self, engine, sat_instance):
         results = engine.solve_many(
-            [sat_instance, sat_instance.copy()], use_cache=False
+            [sat_instance.packed(), sat_instance.copy().packed()],
+            use_cache=False,
         )
         assert engine.counters()["batch_dedups"] == 1
         assert results[1].source == "batch-dedup"
@@ -187,7 +190,7 @@ class TestSolveMany:
         a = CNFFormula([[1, 2]])
         b = CNFFormula([[1, -2]])
         races = engine.counters()["races"]
-        engine.solve_many([a, b], use_cache=False)
+        engine.solve_many([a.packed(), b.packed()], use_cache=False)
         assert engine.counters()["races"] == races + 2
 
     def test_empty_batch(self, engine):
@@ -219,7 +222,9 @@ class TestEvictionInterleavedWithBatch:
         with PortfolioEngine(jobs=1, cache=_tiny_cache(backend, tmp_path)) as eng:
             # b evicts a's entry, c evicts b's — yet the repeats of a and
             # b later in the batch are still answered correctly.
-            results = eng.solve_many([a, b, a.copy(), c, b.copy()])
+            results = eng.solve_many(
+                [f.packed() for f in (a, b, a.copy(), c, b.copy())]
+            )
             assert [r.status for r in results] == ["sat"] * 5
             assert eng.counters()["batch_dedups"] == 2
             assert results[2].source == "batch-dedup"
@@ -233,9 +238,9 @@ class TestEvictionInterleavedWithBatch:
         a, _ = random_planted_ksat(10, 30, rng=34)
         b, _ = random_planted_ksat(10, 30, rng=35)
         with PortfolioEngine(jobs=1, cache=_tiny_cache(backend, tmp_path)) as eng:
-            eng.solve_many([a, b])            # b's store evicted a
+            eng.solve_many([a.packed(), b.packed()])   # b's store evicted a
             races = eng.counters()["races"]
-            second = eng.solve_many([a.copy()])
+            second = eng.solve_many([a.copy().packed()])
             # A fresh batch cannot dedup against the old one; the evicted
             # entry forces a genuine re-solve (a race, not a cache hit).
             assert second[0].status == "sat" and not second[0].from_cache
@@ -246,6 +251,8 @@ class TestEvictionInterleavedWithBatch:
         sat, _ = random_planted_ksat(8, 24, rng=36)
         unsat = CNFFormula([[1, 2], [1, -2], [-1, 2], [-1, -2]])
         with PortfolioEngine(jobs=1, cache=_tiny_cache(backend, tmp_path)) as eng:
-            results = eng.solve_many([unsat, sat, unsat.copy(), sat.copy()])
+            results = eng.solve_many(
+                [f.packed() for f in (unsat, sat, unsat.copy(), sat.copy())]
+            )
             assert [r.status for r in results] == ["unsat", "sat", "unsat", "sat"]
             assert eng.counters()["batch_dedups"] == 2

@@ -24,7 +24,7 @@ class SleepyAdapter:
     complete: bool = True
     naptime: float = 0.4
 
-    def solve(self, formula, *, deadline=None, seed=None, hint=None):
+    def solve_packed(self, packed, *, deadline=None, seed=None, hint=None):
         time.sleep(self.naptime)
         return SolverOutcome(SAT, Assignment({1: True}), self.name, self.naptime)
 
@@ -43,7 +43,7 @@ def unsat_instance():
 class TestQuickSlice:
     def test_easy_instance_decided_without_pool(self, sat_instance):
         p = Portfolio(jobs=4)
-        result = p.solve(sat_instance, seed=0)
+        result = p.solve(sat_instance.packed(), seed=0)
         assert result.outcome.status == SAT
         assert result.via_quick_slice
         assert p._executor is None      # the pool was never created
@@ -51,7 +51,7 @@ class TestQuickSlice:
 
     def test_unsat_decided_in_slice(self, unsat_instance):
         with Portfolio(jobs=4) as p:
-            result = p.solve(unsat_instance, seed=0)
+            result = p.solve(unsat_instance.packed(), seed=0)
             assert result.outcome.status == UNSAT
             assert result.via_quick_slice
 
@@ -59,7 +59,7 @@ class TestQuickSlice:
 class TestProcessPoolRace:
     def test_pool_race_sat(self, sat_instance):
         with Portfolio(jobs=2, quick_slice=0.0) as p:
-            result = p.solve(sat_instance, seed=0)
+            result = p.solve(sat_instance.packed(), seed=0)
             assert result.outcome.status == SAT
             assert sat_instance.is_satisfied(result.outcome.assignment)
             assert result.winner is not None
@@ -67,14 +67,14 @@ class TestProcessPoolRace:
 
     def test_pool_race_unsat(self, unsat_instance):
         with Portfolio(jobs=2, quick_slice=0.0) as p:
-            result = p.solve(unsat_instance, seed=0)
+            result = p.solve(unsat_instance.packed(), seed=0)
             assert result.outcome.status == UNSAT
 
     def test_pool_reuse_across_races(self, sat_instance, unsat_instance):
         with Portfolio(jobs=2, quick_slice=0.0) as p:
-            assert p.solve(sat_instance, seed=0).outcome.status == SAT
-            assert p.solve(unsat_instance, seed=0).outcome.status == UNSAT
-            assert p.solve(sat_instance, seed=1).outcome.status == SAT
+            assert p.solve(sat_instance.packed(), seed=0).outcome.status == SAT
+            assert p.solve(unsat_instance.packed(), seed=0).outcome.status == UNSAT
+            assert p.solve(sat_instance.packed(), seed=1).outcome.status == SAT
             assert p.total_launched == 3 * len(p.configs)
 
 
@@ -97,7 +97,7 @@ class TestProcessPoolRace:
         ]
         with Portfolio(configs=configs, jobs=2, quick_slice=0.0) as p:
             for seed in range(2):
-                result = p.solve(sat_instance, deadline=60.0, seed=seed)
+                result = p.solve(sat_instance.packed(), deadline=60.0, seed=seed)
                 assert result.outcome.status == SAT
                 assert result.winner in ("ilp-a", "ilp-b")
                 assert sat_instance.is_satisfied(result.outcome.assignment)
@@ -135,11 +135,66 @@ os._exit(0)
         )
         assert out.stdout.strip() == "dead", out.stderr
 
+    def test_workers_exit_when_their_parent_is_sigkilled(self):
+        """A SIGKILLed parent tears nothing down; its orphaned workers must
+        exit by themselves instead of blocking on the call queue forever
+        while holding every descriptor they inherited."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = """
+import os, signal
+from repro.engine.portfolio import Portfolio
+p = Portfolio(jobs=2, quick_slice=0.0)
+p.warm_up()
+print(*p._executor._processes, flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+            env=env,
+        )
+        pids: list[int] = []
+        try:
+            # One line, not EOF: surviving workers would hold the pipe open.
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+            assert len(pids) == 2
+            child.wait(timeout=30)
+            deadline = time.monotonic() + 3.0
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in pids if running(pid)]
+            assert not survivors, f"workers {survivors} outlived their parent"
+        finally:
+            for pid in filter(running, pids):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            child.stdout.close()
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+
 
 class TestSequentialFallback:
     def test_jobs_one_never_forks(self, sat_instance):
         p = Portfolio(jobs=1, quick_slice=0.0)
-        result = p.solve(sat_instance, seed=0)
+        result = p.solve(sat_instance.packed(), seed=0)
         assert result.outcome.status == SAT
         assert p._executor is None
         # first definitive answer stops the scan
@@ -159,7 +214,7 @@ class TestSequentialFallback:
         ]
         with Portfolio(configs=configs, jobs=2, quick_slice=0.0) as p:
             t0 = time.perf_counter()
-            result = p.solve(hard, deadline=0.3, seed=0)
+            result = p.solve(hard.packed(), deadline=0.3, seed=0)
             elapsed = time.perf_counter() - t0
         assert result.outcome.status in (SAT, UNKNOWN)
         assert elapsed < 2.0
@@ -171,13 +226,13 @@ class TestSequentialFallback:
             SolverConfig.make("ws-b", "walksat", seed_offset=7, max_flips=10**9),
         ]
         p = Portfolio(configs=incomplete, jobs=1, quick_slice=0.0)
-        result = p.solve(hard, deadline=0.02, seed=0)
+        result = p.solve(hard.packed(), deadline=0.02, seed=0)
         # WalkSAT may get lucky within 20ms, but must never claim UNSAT.
         assert result.outcome.status in (SAT, UNKNOWN)
 
     def test_empty_lineup_rejected(self, sat_instance):
         with pytest.raises(ValueError):
-            Portfolio(configs=[], quick_slice=0.0).solve(sat_instance)
+            Portfolio(configs=[], quick_slice=0.0).solve(sat_instance.packed())
 
 
 class TestConfigs:
@@ -208,7 +263,7 @@ class TestConfigs:
 class TestLeadPromotion:
     def test_lead_takes_the_quick_slice(self, sat_instance):
         with Portfolio(jobs=1) as p:
-            result = p.solve(sat_instance, seed=0, lead="dpll")
+            result = p.solve(sat_instance.packed(), seed=0, lead="dpll")
             assert result.via_quick_slice
             assert result.winner == "dpll"
         # ... and the portfolio's own ordering is untouched.
@@ -216,7 +271,7 @@ class TestLeadPromotion:
 
     def test_unknown_lead_name_ignored(self, sat_instance):
         with Portfolio(jobs=1) as p:
-            result = p.solve(sat_instance, seed=0, lead="no-such-solver")
+            result = p.solve(sat_instance.packed(), seed=0, lead="no-such-solver")
             assert result.outcome.status == SAT
             assert result.winner == "cdcl"
 
@@ -236,7 +291,7 @@ class TestWinnerSurvivesCancellation:
         ]
         f = CNFFormula([[1]])
         with Portfolio(configs=configs, jobs=2, quick_slice=0.0, drain=5.0) as p:
-            result = p.solve(f, deadline=0.05, seed=0)
+            result = p.solve(f.packed(), deadline=0.05, seed=0)
         assert result.outcome.status == SAT
         assert result.winner in ("sleepy", "sleepy-2")
 
@@ -253,12 +308,13 @@ class TestUnsatTrustGate:
             name: str = "liar"
             complete: bool = False     # incomplete: its UNSAT is no proof
 
-            def solve(self, formula, *, deadline=None, seed=None, hint=None):
+            def solve_packed(self, packed, *, deadline=None, seed=None,
+                             hint=None):
                 return SolverOutcome(UNSAT, None, self.name, 0.0, "guess")
 
         monkeypatch.setitem(adapters.ADAPTERS, "liar", LyingAdapter)
         configs = [SolverConfig.make("liar", "liar")]
         p = Portfolio(configs=configs, jobs=1, quick_slice=0.0)
-        result = p.solve(sat_instance, seed=0)
+        result = p.solve(sat_instance.packed(), seed=0)
         assert result.outcome.status == UNKNOWN    # the guess did not win
         assert result.winner is None

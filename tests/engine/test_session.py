@@ -253,7 +253,7 @@ class TestIdempotentClose:
         # Tenant a left; the shared engine still serves tenant b.
         assert not engine.closed
         with IncrementalSession(g, engine=engine) as b:
-            assert engine.solve(g, seed=0).status == "sat"
+            assert engine.solve(g.packed(), seed=0).status == "sat"
             b.solve(seed=0)
         engine.close()
         assert engine.closed

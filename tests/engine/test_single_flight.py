@@ -32,10 +32,10 @@ class SlowAdapter:
         self.name = name
         self.delay = float(delay)
 
-    def solve(self, formula, *, deadline=None, seed=None, hint=None):
+    def solve_packed(self, packed, *, deadline=None, seed=None, hint=None):
         time.sleep(self.delay)
-        return build_adapter("dpll", name=self.name).solve(
-            formula, deadline=deadline, seed=seed, hint=hint
+        return build_adapter("dpll", name=self.name).solve_packed(
+            packed, deadline=deadline, seed=seed, hint=hint
         )
 
 
@@ -80,7 +80,7 @@ class TestSingleFlight:
         n = 4
         with slow_engine(delay=0.3) as engine:
             results = run_threads(
-                n, lambda i: engine.solve(CNFFormula(f.clauses), seed=0)
+                n, lambda i: engine.solve(CNFFormula(f.clauses).packed(), seed=0)
             )
             stats = engine.counters()
         assert all(r.status == "sat" for r in results)
@@ -103,8 +103,8 @@ class TestSingleFlight:
     def test_joiner_after_completion_hits_cache_not_join(self, slow_kind):
         f, _ = random_planted_ksat(10, 30, rng=4)
         with slow_engine(delay=0.01) as engine:
-            first = engine.solve(CNFFormula(f.clauses), seed=0)
-            second = engine.solve(CNFFormula(f.clauses), seed=0)
+            first = engine.solve(CNFFormula(f.clauses).packed(), seed=0)
+            second = engine.solve(CNFFormula(f.clauses).packed(), seed=0)
             stats = engine.counters()
         assert first.source != "inflight-join"
         assert second.source == "cache"
@@ -124,14 +124,14 @@ class TestSingleFlight:
         engine.portfolio.solve = exploding
         try:
             outcomes = run_threads(3, lambda i: _capture(
-                lambda: engine.solve(CNFFormula(f.clauses), seed=0)
+                lambda: engine.solve(CNFFormula(f.clauses).packed(), seed=0)
             ))
             # Leader and joiners all observe the failure; the in-flight
             # table is clean so the next query starts a fresh race.
             assert all(isinstance(o, RuntimeError) for o in outcomes)
             assert engine._inflight == {}
             engine.portfolio.solve = original
-            recovered = engine.solve(CNFFormula(f.clauses), seed=0)
+            recovered = engine.solve(CNFFormula(f.clauses).packed(), seed=0)
             assert recovered.status == "sat"
         finally:
             engine.close()
@@ -150,7 +150,7 @@ class TestDistinctFingerprintOverlap:
         instances = [random_planted_ksat(12, 36, rng=i)[0] for i in range(n)]
         with slow_engine(delay=delay) as engine:
             t0 = time.perf_counter()
-            results = run_threads(n, lambda i: engine.solve(instances[i], seed=0))
+            results = run_threads(n, lambda i: engine.solve(instances[i].packed(), seed=0))
             wall = time.perf_counter() - t0
             stats = engine.counters()
         assert all(r.status == "sat" for r in results)
@@ -164,7 +164,7 @@ class TestDistinctFingerprintOverlap:
         instances = [random_planted_ksat(12, 36, rng=10 + i)[0] for i in range(n)]
         with PortfolioEngine(jobs=2, quick_slice=0.0) as engine:
             engine.warm_up()
-            results = run_threads(n, lambda i: engine.solve(instances[i], seed=0))
+            results = run_threads(n, lambda i: engine.solve(instances[i].packed(), seed=0))
             stats = engine.counters()
             portfolio = engine.portfolio
             # Every slot comes home once the leftover racers are reaped.
@@ -194,10 +194,10 @@ class TestStatsInvariantUnderLoad:
                     # Same instances from every thread: some solves race,
                     # some coalesce, some hit the cache — all paths live.
                     f = sat_instances[(i + round_index) % len(sat_instances)]
-                    engine.solve(CNFFormula(f.clauses), seed=0)
+                    engine.solve(CNFFormula(f.clauses).packed(), seed=0)
                 engine.solve_many(
-                    [CNFFormula(sat_instances[0].clauses),
-                     CNFFormula(sat_instances[0].clauses)],
+                    [CNFFormula(sat_instances[0].clauses).packed(),
+                     CNFFormula(sat_instances[0].clauses).packed()],
                     seed=0,
                 )
 

@@ -94,12 +94,12 @@ class TestEngineUnderDiskFailure:
         engine = PortfolioEngine.from_config(config)
         try:
             formula, witness = random_planted_ksat(10, 30, rng=3)
-            first = engine.solve(formula, seed=0)
+            first = engine.solve(formula.packed(), seed=0)
             assert first.status == "sat"
             assert formula.is_satisfied(first.assignment)
 
             # Same query again: the overlay serves it despite the disk.
-            second = engine.solve(formula, seed=0)
+            second = engine.solve(formula.packed(), seed=0)
             assert second.status == "sat"
             assert second.from_cache
 

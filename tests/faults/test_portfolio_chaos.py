@@ -25,7 +25,7 @@ class TestWorkerKill:
         faults.install("seed=1;worker.kill:p=1,count=1", propagate=True)
         with Portfolio(jobs=2, quick_slice=0.0) as pool:
             gen_before = pool.generation
-            result = pool.solve(formula, seed=0, deadline=60)
+            result = pool.solve(formula.packed(), seed=0, deadline=60)
 
             # The verdict survived the massacre via the solo fallback.
             assert result.outcome.status == "sat"
@@ -41,7 +41,7 @@ class TestWorkerKill:
             # With chaos cleared, the next race forks a clean pool (the
             # children inherit the cleared state) and runs normally.
             faults.clear()
-            again = pool.solve(formula, seed=1, deadline=60)
+            again = pool.solve(formula.packed(), seed=1, deadline=60)
             assert again.outcome.status == "sat"
             assert pool.solo_fallbacks == 1        # no second fallback
             health = pool.health()
@@ -53,7 +53,7 @@ class TestWorkerKill:
         formula, _ = planted
         faults.install("worker.kill:p=1", propagate=True)
         with Portfolio(jobs=2, quick_slice=5.0) as pool:
-            result = pool.solve(formula, seed=0, deadline=60)
+            result = pool.solve(formula.packed(), seed=0, deadline=60)
             assert result.outcome.status == "sat"
             assert result.via_quick_slice
             assert pool.generation == 0
@@ -69,7 +69,7 @@ class TestWorkerHang:
             "seed=2;worker.hang:p=1,count=1,delay=0.3", propagate=True
         )
         with Portfolio(jobs=2, quick_slice=0.0) as pool:
-            result = pool.solve(formula, seed=0, deadline=60)
+            result = pool.solve(formula.packed(), seed=0, deadline=60)
             assert result.outcome.status == "sat"
             assert formula.is_satisfied(result.outcome.assignment)
 

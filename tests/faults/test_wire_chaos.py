@@ -135,7 +135,7 @@ class TestDaemonResilience:
     ):
         f1, _ = random_planted_ksat(10, 30, rng=1)
         f2, _ = random_planted_ksat(10, 30, rng=2)
-        header, payload = batch_request_to_wire([f1, f2], seed=0)
+        header, payload = batch_request_to_wire([f1.packed(), f2.packed()], seed=0)
         sock = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
         sock.connect(daemon.socket_path)
         send_frame(sock, header, payload)

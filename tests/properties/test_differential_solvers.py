@@ -110,7 +110,7 @@ def _disagreement(formula: CNFFormula, seed: int) -> str | None:
     """One line describing a solver inconsistency, or None if all agree."""
     verdicts: dict[str, str] = {}
     for solver in SOLVERS:
-        out = solver.solve(formula, seed=seed, deadline=30.0)
+        out = solver.solve_packed(formula.packed(), seed=seed, deadline=30.0)
         verdicts[solver.name] = out.status
         if out.status == SAT:
             # Re-verify independently of the adapters' own check: a model
@@ -173,16 +173,15 @@ _PACKED_SOLVERS = tuple(
 def _packed_mismatch(formula: CNFFormula, seed: int) -> str | None:
     """One line describing an object/packed divergence, or None.
 
-    The packed kernel is round-tripped through its wire format first, so
-    this also fuses the portfolio's worker transport path into the
-    differential harness: object entry point, packed entry point, and
-    deserialized-payload entry point must produce the *same verdict and
-    the same model* (both wrappers delegate to the packed core, so any
+    The formula's own kernel (``formula.packed()``) is raced against a
+    fresh pack round-tripped through the wire format, so this also fuses
+    the portfolio's worker transport path into the differential harness:
+    both must produce the *same verdict and the same model* (any
     difference is a kernel-maintenance or wire-format bug).
     """
     packed = PackedCNF.from_bytes(PackedCNF.from_formula(formula).to_bytes())
     for solver in _PACKED_SOLVERS:
-        obj = solver.solve(formula, seed=seed, deadline=30.0)
+        obj = solver.solve_packed(formula.packed(), seed=seed, deadline=30.0)
         pak = solver.solve_packed(packed, seed=seed, deadline=30.0)
         if obj.status != pak.status:
             return f"{solver.name}: object={obj.status} packed={pak.status}"
@@ -196,7 +195,8 @@ def _packed_mismatch(formula: CNFFormula, seed: int) -> str | None:
 
 
 def test_differential_packed_vs_object_paths():
-    """Packed and object entry points agree on verdict *and* model.
+    """A formula's own kernel and a fresh pack's wire round trip agree on
+    verdict *and* model.
 
     Runs over the same seeded instance stream as the cross-solver sweep
     (stream 1), so a failure here and a failure there point at the same
@@ -249,7 +249,7 @@ def test_differential_service_vs_direct_engine():
     service = SolverService(EngineConfig(jobs=1, quick_slice=30.0))
     with engine, service:
         for name, formula, seed in _instances(count, stream=1):
-            direct = engine.solve(formula, seed=seed, use_cache=False)
+            direct = engine.solve(formula.packed(), seed=seed, use_cache=False)
             routed = service.solve(SolveRequest(
                 formula=formula, seed=seed, use_cache=False
             ))

@@ -49,7 +49,8 @@ class TestWireBatch:
         f2, _ = random_planted_ksat(12, 36, rng=2)
         with ServiceClient(daemon.socket_path) as client:
             responses = client.solve_many(
-                [f1, CNFFormula(f1.clauses), f2], seed=0
+                [f1.packed(), CNFFormula(f1.clauses).packed(), f2.packed()],
+                seed=0,
             )
         assert [r.status for r in responses] == ["sat", "sat", "sat"]
         assert responses[1].source == "batch-dedup"
@@ -309,7 +310,7 @@ class TestRecorderHook:
         service.change(
             ChangeRequest("t", ChangeSet([RemoveClause(f1.clauses[0])]), seed=0)
         )
-        service.solve_many([CNFFormula(f1.clauses)], seed=0)
+        service.solve_many([CNFFormula(f1.clauses).packed()], seed=0)
         service.close_session("t")
         service.close()                    # flushes + closes the recorder
         trace = read_trace(str(path))

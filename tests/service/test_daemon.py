@@ -21,6 +21,7 @@ from repro.cnf.clause import Clause
 from repro.cnf.dimacs import write_dimacs
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import random_planted_ksat
+from repro.cnf.packed import PackedCNF
 from repro.core.change import AddClause, AddVariable, ChangeSet, RemoveClause
 from repro.engine.config import EngineConfig
 from repro.errors import ServiceError
@@ -28,6 +29,7 @@ from repro.service.client import ServiceClient
 from repro.service.daemon import ServiceDaemon
 from repro.service.requests import ChangeRequest, SolveRequest
 from repro.service.service import SolverService
+from repro.service.wire import batch_request_from_wire, batch_request_to_wire
 
 pytestmark = pytest.mark.skipif(
     not hasattr(socket_mod, "AF_UNIX"), reason="needs AF_UNIX sockets"
@@ -131,6 +133,54 @@ class TestInProcessDaemon:
         assert not thread.is_alive()
         assert daemon.service.closed
         assert not os.path.exists(daemon.socket_path)
+
+
+class TestPackedRequestPath:
+    """A stateless or batched wire request is answered off the packed
+    kernel it decodes to: nothing on the way builds a ``CNFFormula``."""
+
+    @pytest.fixture(autouse=True)
+    def no_clause_objects(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a request built clause objects")
+
+        monkeypatch.setattr(PackedCNF, "to_formula", refuse)
+
+    @pytest.fixture
+    def payloads(self):
+        return [
+            random_planted_ksat(12, 36, rng=rng)[0].packed().to_bytes()
+            for rng in (11, 12)
+        ]
+
+    def _check(self, payloads, first, second, batch):
+        kernel = PackedCNF.from_bytes(payloads[0])
+        assert first.status == "sat" and not first.from_cache
+        assert second.source == "cache" and second.from_cache
+        assert kernel.is_satisfied(second.assignment)
+        assert [r.status for r in batch] == ["sat", "sat"]
+        for payload, response in zip(payloads, batch):
+            assert PackedCNF.from_bytes(payload).is_satisfied(response.assignment)
+
+    def test_service(self, payloads):
+        header, body = batch_request_to_wire(
+            [PackedCNF.from_bytes(p) for p in payloads], seed=0
+        )
+        with SolverService(EngineConfig(jobs=1)) as service:
+            first = service.solve(SolveRequest(packed_bytes=payloads[0], seed=0))
+            second = service.solve(SolveRequest(packed_bytes=payloads[0], seed=0))
+            cnfs, options = batch_request_from_wire(header, body)
+            batch = service.solve_many(cnfs, **options)
+        self._check(payloads, first, second, batch)
+
+    def test_daemon(self, payloads, daemon):
+        with ServiceClient(daemon.socket_path) as client:
+            first = client.solve(SolveRequest(packed_bytes=payloads[0], seed=0))
+            second = client.solve(SolveRequest(packed_bytes=payloads[0], seed=0))
+            batch = client.solve_many(
+                [PackedCNF.from_bytes(p) for p in payloads], seed=0
+            )
+        self._check(payloads, first, second, batch)
 
 
 class TestCliConnect:

@@ -270,7 +270,7 @@ class TestSubmit:
 class TestBatch:
     def test_solve_many_maps_to_responses(self, service, planted):
         f, _ = planted
-        responses = service.solve_many([f, f.copy()], seed=0)
+        responses = service.solve_many([f.packed(), f.copy().packed()], seed=0)
         assert [r.status for r in responses] == ["sat", "sat"]
         assert responses[1].source == "batch-dedup"
         assert service.engine.counters()["batch_dedups"] == 1
@@ -290,6 +290,19 @@ class TestErrorAccounting:
             service.change(
                 ChangeRequest("ghost", ChangeSet([AddVariable()]), seed=0)
             )
+        assert service.metrics.counter("requests") == 1
+        assert service.metrics.counter("errors") == 1
+
+    def test_zero_literal_payload_is_an_error(self, service):
+        from array import array
+
+        from repro.errors import CNFError
+
+        payload = bytearray(CNFFormula([[1, 2], [-1, 2], [1, -2]]).packed().to_bytes())
+        item = array("i").itemsize
+        payload[-item:] = array("i", [0]).tobytes()
+        with pytest.raises(CNFError):
+            service.solve(SolveRequest(packed_bytes=bytes(payload)))
         assert service.metrics.counter("requests") == 1
         assert service.metrics.counter("errors") == 1
 

@@ -60,7 +60,7 @@ class TestRoundTrip:
         path = tmp_path / "b.jsonl"
         with TraceRecorder(str(path)) as recorder:
             recorder.record_solve_many(
-                [f1, f2],
+                [f1.packed(), f2.packed()],
                 {"deadline": None, "seed": 7, "use_cache": True, "lead": None},
                 [SolveResponse("sat"), SolveResponse("sat")],
                 wall=0.01,
@@ -70,7 +70,7 @@ class TestRoundTrip:
         assert event.kind == "solve_many"
         assert len(event.formulas) == 2
         assert event.options["seed"] == 7
-        rebuilt = [sorted(c.literals) for c in event.formulas[0].clauses]
+        rebuilt = [sorted(c) for c in event.formulas[0].iter_clauses()]
         original = [sorted(c.literals) for c in f1.clauses]
         assert rebuilt == original
         assert len(expected_outcomes(record)) == 2
