@@ -53,7 +53,8 @@ TOKEN = "cluster-smoke-token"
 
 #: Seeded chaos on both nodes: drop a few sync pulls mid-replication
 #: (the cursor never advances, so the re-pull converges) and kill one
-#: pool worker (the generation bump + retry machinery absorbs it).
+#: pool worker (its race loses only that racer, the next lease forks a
+#: replacement, and a race left undecided solves solo in-process).
 CHAOS = "seed={seed};sync.drop:p=0.3,count=3;worker.kill:p=0.05,count=1"
 
 

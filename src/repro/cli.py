@@ -643,7 +643,7 @@ def _cmd_stats(args) -> int:
                 flags += " DEGRADED"
             print(
                 f"c node {address}: {flags}, "
-                f"pool gen {state.get('generation')}, "
+                f"pool workers replaced {state.get('generation')}, "
                 f"sync cursor {state.get('sync_cursor')}"
                 + (
                     f", last error: {state.get('last_error')}"
@@ -657,7 +657,7 @@ def _cmd_stats(args) -> int:
         cache = engine.get("cache", {})
         degraded = " DEGRADED" if cache.get("degraded") else ""
         print(
-            f"c health: pool gen {pool.get('generation', 0)}, "
+            f"c health: {pool.get('generation', 0)} pool workers replaced, "
             f"{pool.get('solo_fallbacks', 0)} solo fallbacks, "
             f"cache errors {cache.get('errors', 0)}{degraded}, "
             f"daemon errors {health.get('errors', 0):.0f}"

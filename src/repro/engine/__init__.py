@@ -21,8 +21,7 @@ engine suitable for serving many queries:
   default portfolio line-up, and the engine-level :class:`EngineConfig`
   (pool width, quick slice, cache backend selection);
 * :mod:`repro.engine.portfolio`   -- the :class:`Portfolio` runner racing
-  N configurations across a process pool with deadline / cancellation
-  semantics;
+  N configurations on worker processes it owns, under a deadline;
 * :mod:`repro.engine.engine`      -- the :class:`PortfolioEngine` facade
   combining cache, hint revalidation, and the portfolio race;
 * :mod:`repro.engine.session`     -- :class:`IncrementalSession`, the

@@ -32,10 +32,9 @@ solver launches, so tests and benchmarks can assert that steps 1-3
 never touched a solver.
 
 Concurrency model: the engine does not serialize queries.  Distinct
-fingerprints race *concurrently* over the portfolio's shared process
-pool — each race owns per-query
-:class:`~repro.engine.portfolio.RaceHandle` state, and a scheduler
-apportions pool workers between live races.  ``self.lock`` is a narrow
+fingerprints race *concurrently* on the portfolio's shared worker
+processes — each race leases its own workers, and the portfolio
+apportions them between live races.  ``self.lock`` is a narrow
 mutex guarding only shared mutable state with no thread-safety of its
 own: the cache's LRU order and the in-flight table.  It is **never held
 across solver execution**.
@@ -331,10 +330,7 @@ class PortfolioEngine:
         result = self.portfolio.solve(
             cnf, deadline=deadline, seed=seed, hint=hint, lead=lead
         )
-        # Racers cancelled before their solver started are excluded;
-        # racers abandoned mid-run still count, so this is exact for the
-        # zero-solver paths and an upper bound on completed runs.
-        delta["solver_calls"] += result.executed
+        delta["solver_calls"] += result.launched
         delta["transport_bytes"] += result.transport_bytes
         # Search-effort counters: sum every racer's structured stats —
         # effort spent across the whole race, not just the winner's.
@@ -421,9 +417,10 @@ class PortfolioEngine:
 
     # ------------------------------------------------------------------
     def health(self) -> dict:
-        """Degradation snapshot: pool generation/fallbacks, cache
-        degraded flags, and in-flight table depth (the daemon's
-        ``health`` op rides this)."""
+        """Degradation snapshot: the portfolio's workers (live, orphaned,
+        and ``generation``: replaced after dying or being killed), solo
+        fallbacks, cache degraded flags, and in-flight table depth (the
+        daemon's ``health`` op rides this)."""
         cache = self.cache
         if hasattr(cache, "health"):
             cache_health = cache.health()
@@ -442,21 +439,22 @@ class PortfolioEngine:
         }
 
     def warm_up(self) -> None:
-        """Pre-start the worker pool (benchmark hygiene)."""
+        """Fork the portfolio's ``jobs`` workers ahead of the first race
+        (benchmark hygiene)."""
         self.portfolio.warm_up()
 
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has run (the engine stays queryable —
-        the pool is rebuilt lazily — but owners should not reuse it)."""
+        a later race forks new workers — but owners should not reuse it)."""
         return self._closed
 
     def close(self) -> None:
-        """Release the worker pool.
+        """Kill the portfolio's worker processes.
 
         Idempotent: an explicit ``close()`` followed by the context
         manager's ``__exit__`` (or any further close) is safe — the
-        second call finds no pool and does nothing.
+        second call finds no worker and does nothing.
         """
         self._closed = True
         self.portfolio.close()

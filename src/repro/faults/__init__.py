@@ -25,8 +25,8 @@ Points wired through the stack today:
 
 ======================  ================================================
 ``worker.kill``         pool worker SIGKILLs itself mid-task
-``worker.hang``         pool worker sleeps ``delay`` seconds (polling
-                        its race's cancellation slot), then unknowns
+``worker.hang``         pool worker sleeps ``delay`` seconds, then
+                        unknowns
 ``cache.put.io``        ``DiskCache.put`` raises ENOSPC
 ``cache.put.torn``      ``DiskCache.put`` leaves a torn entry file and
                         raises EIO (a crashed writer)

@@ -14,7 +14,8 @@ What the daemon adds to the frame server is its ops:
 ``ping``
     liveness check; answers ``{"ok": true, "pong": true}``.
 ``health``
-    degradation snapshot: pool generation and solo-fallback count,
+    degradation snapshot: pool ``generation`` (workers replaced after
+    dying or being killed) and solo-fallback count,
     cache degraded/error flags, drain state, and the live fault-plan
     counters when chaos is installed (``repro stats`` surfaces it).
     Exempt from the ``max_requests`` budget, like ``ping``.

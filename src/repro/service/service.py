@@ -38,8 +38,8 @@ Design points:
   :class:`~repro.errors.ECError` on top for their old contracts;
 * **concurrent engine, narrow service lock** — the engine path takes no
   service-wide lock: distinct-fingerprint queries overlap end-to-end
-  (each race owns per-query ``RaceHandle`` state over the engine's
-  shared pool), and identical fingerprints coalesce through the
+  (each race leases its own workers from the engine's shared
+  portfolio), and identical fingerprints coalesce through the
   engine's single-flight in-flight table.  The service lock shrank to
   session-table and lifecycle mutation only; per-session atomicity
   (change → re-solve) rides each session's own lock.
@@ -701,8 +701,9 @@ class SolverService:
         """Degradation snapshot for the daemon's ``health`` op.
 
         Complements :meth:`stats` (throughput counters) with the flags
-        an operator checks when things go wrong: pool generation and
-        solo-fallback count, cache degraded mode and error counters,
+        an operator checks when things go wrong: the pool's
+        ``generation`` (workers replaced after dying or being killed)
+        and solo-fallback count, cache degraded mode and error counters,
         drain state, and the live fault-plan snapshot when chaos is
         installed.
         """

@@ -277,9 +277,9 @@ def coloring_churn(
     coloring; part of the edge set forms the base instance, the rest is
     held out as the insertion pool.  Inserting an edge adds its k
     conflict clauses (tightening — the paper's canonical coloring EC);
-    deleting one removes them (loosening).  Because only
-    non-monochromatic-under-the-planting edges exist, every step stays
-    satisfiable.
+    deleting one removes them (loosening) and puts the edge back on the
+    insertion pool.  Because only non-monochromatic-under-the-planting
+    edges exist, every step stays satisfiable.
     """
     from repro.coloring.generators import random_colorable_graph
 
@@ -318,6 +318,7 @@ def coloring_churn(
                 cs = ChangeSet(
                     [RemoveClause(c) for c in _conflict_clauses(u, v, num_colors)]
                 )
+                pool.append((u, v))
             events.append(
                 WorkloadEvent("change", request=ChangeRequest(name, cs, seed=0))
             )

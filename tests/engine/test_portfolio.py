@@ -1,13 +1,20 @@
 """Portfolio racing: quick slice, process pool, sequential fallback."""
 
+import os
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import random_planted_ksat
+from repro.engine import portfolio
 from repro.engine.config import SolverConfig, default_portfolio_configs
 from repro.engine.portfolio import Portfolio, run_packed
 from repro.engine.protocol import SAT, SolverOutcome, UNKNOWN, UNSAT
@@ -29,6 +36,28 @@ class SleepyAdapter:
         return SolverOutcome(SAT, Assignment({1: True}), self.name, self.naptime)
 
 
+@dataclass(frozen=True)
+class LoserAdapter(SleepyAdapter):
+    """Test double: an incomplete racer that sleeps 30 s past any deadline."""
+
+    name: str = "loser"
+    complete: bool = False
+    naptime: float = 30.0
+
+
+def _checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    return dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+
+
+def _python(code: str):
+    """Run *code* in a fresh interpreter; capture its output."""
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env=_checkout_env(),
+    )
+
+
 @pytest.fixture(scope="module")
 def sat_instance():
     f, _ = random_planted_ksat(25, 90, rng=4)
@@ -46,7 +75,7 @@ class TestQuickSlice:
         result = p.solve(sat_instance.packed(), seed=0)
         assert result.outcome.status == SAT
         assert result.via_quick_slice
-        assert p._executor is None      # the pool was never created
+        assert not p._workers           # no worker was ever forked
         p.close()
 
     def test_unsat_decided_in_slice(self, unsat_instance):
@@ -63,7 +92,8 @@ class TestProcessPoolRace:
             assert result.outcome.status == SAT
             assert sat_instance.is_satisfied(result.outcome.assignment)
             assert result.winner is not None
-            assert result.launched == len(p.configs)
+            # Only racers sent before the winner answered count.
+            assert 1 <= result.launched <= len(p.configs)
 
     def test_pool_race_unsat(self, unsat_instance):
         with Portfolio(jobs=2, quick_slice=0.0) as p:
@@ -72,11 +102,13 @@ class TestProcessPoolRace:
 
     def test_pool_reuse_across_races(self, sat_instance, unsat_instance):
         with Portfolio(jobs=2, quick_slice=0.0) as p:
-            assert p.solve(sat_instance.packed(), seed=0).outcome.status == SAT
-            assert p.solve(unsat_instance.packed(), seed=0).outcome.status == UNSAT
-            assert p.solve(sat_instance.packed(), seed=1).outcome.status == SAT
-            assert p.total_launched == 3 * len(p.configs)
-
+            results = [
+                p.solve(sat_instance.packed(), seed=0),
+                p.solve(unsat_instance.packed(), seed=0),
+                p.solve(sat_instance.packed(), seed=1),
+            ]
+            assert [r.outcome.status for r in results] == [SAT, UNSAT, SAT]
+            assert p.total_launched == sum(r.launched for r in results)
 
     def test_forked_ilp_racers_answer_after_parent_used_highs(self, sat_instance):
         # HiGHS may start worker threads in the process that first calls
@@ -104,21 +136,14 @@ class TestProcessPoolRace:
 
     def test_workers_die_on_sigterm_despite_a_parent_handler(self):
         """``repro serve`` handles SIGTERM as "drain"; forked workers must
-        not inherit that, or the pool's ``terminate()`` does nothing."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repro
-
+        not inherit that, or a ``terminate()`` does nothing."""
         code = """
 import os, signal, sys
 signal.signal(signal.SIGTERM, lambda *_: None)
 from repro.engine.portfolio import Portfolio
 p = Portfolio(jobs=2, quick_slice=0.0)
 p.warm_up()
-procs = list(p._executor._processes.values())
+procs = [worker.proc for worker in p._workers]
 procs[0].terminate()
 procs[0].join(2.0)
 dead = not procs[0].is_alive()
@@ -128,31 +153,21 @@ for proc in procs:
 print("dead" if dead else "alive", flush=True)
 os._exit(0)
 """
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            timeout=60, env=env,
-        )
+        out = _python(code)
         assert out.stdout.strip() == "dead", out.stderr
 
     def test_workers_exit_when_their_parent_is_sigkilled(self):
         """A SIGKILLed parent tears nothing down; its orphaned workers must
-        exit by themselves instead of blocking on the call queue forever
+        exit by themselves instead of blocking on their pipe forever
         while holding every descriptor they inherited."""
-        import os
         import signal
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repro
 
         code = """
 import os, signal
 from repro.engine.portfolio import Portfolio
 p = Portfolio(jobs=2, quick_slice=0.0)
 p.warm_up()
-print(*p._executor._processes, flush=True)
+print(*(worker.proc.pid for worker in p._workers), flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
 
@@ -163,10 +178,9 @@ os.kill(os.getpid(), signal.SIGKILL)
             except FileNotFoundError:
                 return False
 
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
         child = subprocess.Popen(
             [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
-            env=env,
+            env=_checkout_env(),
         )
         pids: list[int] = []
         try:
@@ -190,13 +204,133 @@ os.kill(os.getpid(), signal.SIGKILL)
                 child.kill()
                 child.wait()
 
+    def test_a_process_that_raced_exits_cleanly(self):
+        """Pool races, ``close()``, then interpreter exit: no atexit hook
+        may write to a pipe that ``close()`` already shut."""
+        code = """
+from repro.cnf.formula import CNFFormula
+from repro.cnf.generators import random_planted_ksat
+from repro.engine.portfolio import Portfolio
+sat, _ = random_planted_ksat(25, 90, rng=4)
+unsat = CNFFormula([[1, 2], [1, -2], [-1, 2], [-1, -2]])
+p = Portfolio(jobs=2, quick_slice=0.0)
+for formula in (sat, unsat, sat):
+    p.solve(formula.packed(), seed=0)
+p.close()
+"""
+        out = _python(code)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+
+
+class TestWorkerLeases:
+    def test_losers_never_delay_the_next_race(self, sat_instance, monkeypatch):
+        # Two incomplete racers that ignore their deadline fill both
+        # workers and outlive a race cut at 0.2 s.  The next race must not
+        # wait 30 s for them: it kills an orphan and forks a replacement.
+        from repro.engine import adapters
+
+        monkeypatch.setitem(adapters.ADAPTERS, "loser", LoserAdapter)
+        configs = [
+            SolverConfig.make("loser-a", "loser"),
+            SolverConfig.make("loser-b", "loser"),
+            SolverConfig.make("cdcl", "cdcl"),
+        ]
+        with Portfolio(configs=configs, jobs=2, quick_slice=0.0) as p:
+            cut = p.solve(sat_instance.packed(), deadline=0.2, seed=0)
+            assert cut.outcome.status == UNKNOWN
+            t0 = time.perf_counter()
+            result = p.solve(sat_instance.packed(), seed=0, lead="cdcl")
+            elapsed = time.perf_counter() - t0
+        assert result.outcome.status == SAT
+        assert result.winner == "cdcl"
+        assert elapsed < 2.0
+
+    def test_back_to_back_races_do_not_churn_workers(self):
+        instances = [random_planted_ksat(25, 90, rng=100 + i)[0] for i in range(30)]
+        with Portfolio(jobs=2, quick_slice=0.0) as p:
+            for formula in instances:
+                assert p.solve(formula.packed(), seed=0).outcome.status == SAT
+            health = p.health()
+        assert health["generation"] == 0       # no worker killed or lost
+        assert health["workers"] <= p.jobs
+
+    def test_concurrent_races_keep_every_worker_accounted(self):
+        # More racing threads than workers and cores, with a short switch
+        # interval: once every race is over, each live worker must be
+        # exactly one of idle or orphaned, none lost, none twice.
+        instances = [random_planted_ksat(20, 80, rng=300 + i)[0] for i in range(24)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Portfolio(jobs=2, quick_slice=0.0) as p:
+                chunks = [instances[i::4] for i in range(4)]
+                per_thread: list[list] = [[] for _ in chunks]
+
+                def race(chunk, out):
+                    out.extend(p.solve(f.packed(), seed=0) for f in chunk)
+
+                threads = [
+                    threading.Thread(target=race, args=(chunk, out))
+                    for chunk, out in zip(chunks, per_thread)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive()
+                with p._lock:
+                    idle, orphans = list(p._idle), list(p._orphans)
+                    assert p._active == 0
+                    assert len(idle) + len(orphans) == len(p._workers) <= p.jobs
+                    assert set(idle) | set(orphans) == p._workers
+                results = [r for out in per_thread for r in out]
+                assert p.total_launched == sum(r.launched for r in results)
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(results) == len(instances)
+        assert all(r.outcome.status == SAT for r in results)
+
+    def test_a_blocked_lease_keeps_the_deadline(self, monkeypatch):
+        # Two races keep both workers busy with 5 s sleepers; a third race
+        # finds no worker and no orphan, and must give up at its deadline.
+        from repro.engine import adapters
+
+        monkeypatch.setitem(adapters.ADAPTERS, "sleepy", SleepyAdapter)
+        configs = [SolverConfig.make("sleepy", "sleepy", naptime=5.0)]
+        packed = CNFFormula([[1]]).packed()
+        with Portfolio(configs=configs, jobs=2, quick_slice=0.0) as p:
+            p.warm_up()
+            busy = [
+                threading.Thread(
+                    target=p.solve, args=(packed,), kwargs={"deadline": 1.0}
+                )
+                for _ in range(2)
+            ]
+            for thread in busy:
+                thread.start()
+            give_up = time.monotonic() + 10.0
+            while time.monotonic() < give_up:
+                with p._lock:
+                    if p._active == 2 and not p._idle:
+                        break
+                time.sleep(0.01)
+            t0 = time.perf_counter()
+            result = p.solve(packed, deadline=0.3, seed=0)
+            elapsed = time.perf_counter() - t0
+            for thread in busy:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+        assert result.outcome.status == UNKNOWN
+        assert elapsed < 1.5
+
 
 class TestSequentialFallback:
     def test_jobs_one_never_forks(self, sat_instance):
         p = Portfolio(jobs=1, quick_slice=0.0)
         result = p.solve(sat_instance.packed(), seed=0)
         assert result.outcome.status == SAT
-        assert p._executor is None
+        assert not p._workers
         # first definitive answer stops the scan
         assert result.launched <= len(p.configs)
 
@@ -279,7 +413,7 @@ class TestLeadPromotion:
 class TestWinnerSurvivesCancellation:
     def test_drain_window_win_is_not_dropped(self, monkeypatch):
         # Both racers block past the deadline; the parent's wait loop cuts
-        # the race, cancels, and then a racer crosses the line inside the
+        # the race, and then a racer crosses the line inside the
         # drain window.  Its verdict used to be discarded ("deadline
         # exceeded"); it must win and be credited by name.
         from repro.engine import adapters
@@ -290,7 +424,8 @@ class TestWinnerSurvivesCancellation:
             SolverConfig.make("sleepy-2", "sleepy", naptime=0.5),
         ]
         f = CNFFormula([[1]])
-        with Portfolio(configs=configs, jobs=2, quick_slice=0.0, drain=5.0) as p:
+        monkeypatch.setattr(portfolio, "DRAIN", 5.0)
+        with Portfolio(configs=configs, jobs=2, quick_slice=0.0) as p:
             result = p.solve(f.packed(), deadline=0.05, seed=0)
         assert result.outcome.status == SAT
         assert result.winner in ("sleepy", "sleepy-2")

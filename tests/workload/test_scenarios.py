@@ -77,6 +77,24 @@ class TestSessionDiscipline:
 
 
 class TestParameters:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_scenario_builds_long_streams(self, name):
+        assert build_scenario(name, seed=0, changes=40)
+
+    def test_long_coloring_churn_stays_satisfiable(self):
+        # Past the spent insertion pool, deleted edges are inserted again;
+        # every one is proper under the planted coloring.
+        from repro.engine.config import EngineConfig
+        from repro.service.service import SolverService
+        from repro.workload.runner import inprocess_factory, run_events, summarize
+
+        events = build_scenario("coloring-churn", seed=0, tenants=2, changes=60)
+        with SolverService(EngineConfig(jobs=1)) as service:
+            results, wall = run_events(events, inprocess_factory(service))
+        report = summarize(results, wall, scenario="coloring-churn")
+        assert report.errors == 0, report.error_detail
+        assert set(report.statuses) == {"sat"}
+
     def test_tenants_scale_the_stream(self):
         assert len(build_scenario("sat-tightening", tenants=4, changes=3)) == 2 * len(
             build_scenario("sat-tightening", tenants=2, changes=3)
