@@ -305,8 +305,10 @@ class RouterDaemon(FrameServer):
         if op == "solve" and payload:
             try:
                 # The *true* fp-v2 straight off the packed bytes — the
-                # exact key the backend caches under, at the cost of one
-                # O(clauses) digest pass and no formula rebuild.
+                # exact key the backend caches under, with no formula
+                # rebuild: one SHA-256 of the clause arrays for a payload
+                # this router has keyed before, one O(clauses) digest
+                # pass the first time.
                 return "fp:" + PackedCNF.from_bytes(payload).fingerprint()
             except (CNFError, ValueError):
                 # Malformed payload: still route it somewhere stable so

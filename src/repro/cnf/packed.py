@@ -21,7 +21,11 @@ re-hashes the clause set from scratch.
   portfolio workers receive raw array bytes, not a pickled object graph;
 * an order-independent running combine of per-clause digests
   (deduplicated, so clause order and multiplicity never matter) powers
-  the incremental ``fp-v2`` fingerprint in O(changed clauses) per edit.
+  the incremental ``fp-v2`` fingerprint in O(changed clauses) per edit;
+* a bounded process-wide memo, keyed by a SHA-256 of the clause
+  sequence, answers the fingerprint of a kernel decoded again from bytes
+  seen before (a repeated wire request, the router's key) with one
+  C-level hash instead of one SHAKE-256 digest per clause.
 
 Invariants (relied on throughout): each clause's literals are
 duplicate-free and sorted by ``(variable, polarity)`` exactly as
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from array import array
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -75,6 +80,14 @@ FP2_VERSION = b"repro-cnf-fp-v2"
 #: past ~2**100 work for any plausible clause count.
 _DIGEST_BYTES = 256
 _DIGEST_MOD = 1 << (8 * _DIGEST_BYTES)
+
+#: Most fp-v2 values the fingerprint memo keeps: ``SolutionCache``'s
+#: default capacity, so every instance the default cache can hold skips
+#: its digests (about 250 B per entry).
+_FP_MEMO_MAX = 4096
+#: SHA-256 of a clause sequence -> its fp-v2 hex; oldest insertion first.
+_FP_MEMO: dict[bytes, str] = {}
+_FP_MEMO_LOCK = threading.Lock()
 
 
 def clause_digest(lits: tuple[int, ...]) -> int:
@@ -356,13 +369,40 @@ class PackedCNF:
         clauses), so re-fingerprinting along a change chain is O(1) per
         query.  Clause order, clause multiplicity, and free variables
         never matter, and the empty clause is distinguished.
+
+        A kernel without digest state first consults a process-wide memo
+        keyed by a SHA-256 of its clause sequence (the clause count, then
+        the offset and literal arrays, so clause boundaries are part of
+        the key): a kernel decoded again from bytes seen before is
+        answered by one C-level hash, and builds no digest state — if it
+        is edited afterwards, its next fingerprint hashes the new
+        sequence and, on a miss, pays the O(clauses) initialization then.
+        A miss initializes the digests and stores the value, evicting
+        the oldest of at most :data:`_FP_MEMO_MAX` entries.  A kernel
+        with digest state never consults the memo.  A wrong answer would
+        need a SHA-256 collision (~2**128 work), above fp-v2's own
+        ~2**100 Wagner bound.
         """
+        key = None
         if self._digest_counts is None:
+            h = hashlib.sha256(len(self.offsets).to_bytes(8, "little"))
+            h.update(self.offsets)
+            h.update(self.lits)
+            key = h.digest()
+            fp = _FP_MEMO.get(key)
+            if fp is not None:
+                return fp
             self._init_digests()
         h = hashlib.sha256(FP2_VERSION)
         h.update(len(self._digest_counts).to_bytes(8, "big"))
         h.update(self._digest_sum.to_bytes(_DIGEST_BYTES, "big"))
-        return h.hexdigest()
+        fp = h.hexdigest()
+        if key is not None:
+            with _FP_MEMO_LOCK:
+                if len(_FP_MEMO) >= _FP_MEMO_MAX:
+                    del _FP_MEMO[next(iter(_FP_MEMO))]
+                _FP_MEMO[key] = fp
+        return fp
 
     # ------------------------------------------------------------------
     # copies and conversions

@@ -176,12 +176,17 @@ class PortfolioEngine:
                 engineering changes).
         """
         t0 = time.perf_counter()
-        # fp-v2 is incrementally maintained on the kernel: the first
-        # query pays O(clauses) once, every query after an EC edit pays
-        # O(changed clauses).  Skipped entirely when the caller bypasses
-        # the cache — which also opts out of coalescing (no fingerprint,
-        # no coalescing key).
-        fp = cnf.fingerprint() if use_cache else ""
+        # fp-v2 is incrementally maintained on the kernel: every query
+        # after an EC edit pays O(changed clauses), and the first query
+        # pays O(clauses) once — or one SHA-256 of the clause arrays when
+        # the process fingerprinted the same clause sequence before (a
+        # repeated wire request).  Skipped entirely when the caller
+        # bypasses the cache — which also opts out of coalescing (no
+        # fingerprint, no coalescing key).
+        fp = ""
+        if use_cache:
+            with tracing.stage("fingerprint"):
+                fp = cnf.fingerprint()
 
         flight: _InFlight | None = None
         if use_cache:

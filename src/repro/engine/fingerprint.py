@@ -23,7 +23,11 @@ fp-v2 is a 2048-bit modular sum of per-clause SHAKE-256 digests (see
 :mod:`repro.cnf.packed` for the collision-resistance rationale),
 maintained *incrementally* by the formula's packed kernel: each EC edit
 updates the running digest in O(changed clauses), so re-fingerprinting
-along a change chain is O(1) per query.  :func:`fingerprint_v2_scratch`
+along a change chain is O(1) per query.  A kernel with no digest state
+yet first asks a bounded process-wide memo keyed by a SHA-256 of its
+clause sequence, so a repeated wire request (or the router's key for
+it) costs one C-level hash instead of one digest per clause; the memo
+never changes a value.  :func:`fingerprint_v2_scratch`
 recomputes it from the clause objects — the incremental path's oracle
 and the from-scratch baseline of ``repro bench engine``.  The digest is
 tagged with its version, so a future normalization change invalidates

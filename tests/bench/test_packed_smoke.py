@@ -5,8 +5,10 @@ hot paths cheaper, so the CI-size DIMACS families must solve off a
 prebuilt kernel at least as fast as from a cold object graph (which
 pays the same solve *plus* kernel construction), within a generous noise
 margin, and the wire transport must stay cheaper than pickling the
-object graph.  The full comparison with real numbers lives in
-``repro bench engine`` (experiment 6, nightly lane).
+object graph.  A repeated wire request must digest each clause once,
+not once per decode (a count, so it cannot flake on a slow host).  The
+full comparison with real numbers lives in ``repro bench engine``
+(experiment 6, nightly lane).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import time
 import pytest
 
 from repro.bench.registry import load_instance
+from repro.cnf import packed as packed_mod
 from repro.cnf.formula import CNFFormula
 from repro.cnf.packed import PackedCNF
 from repro.engine.adapters import CDCLAdapter
@@ -111,3 +114,25 @@ def test_wire_transport_cheaper_than_pickle(name):
         f"{name}: wire round trip ({t_wire * 1e6:.0f}us) slower than "
         f"pickle round trip ({t_pickle * 1e6:.0f}us)"
     )
+
+
+@pytest.mark.parametrize("name", _FAMILIES)
+def test_repeated_decodes_digest_each_clause_once(name, fresh_fp_memo, monkeypatch):
+    """20 decodes of one payload, each fingerprinted: the fingerprint memo
+    answers every decode after the first, so the per-clause digest runs
+    once per distinct clause (without the memo: 20 times that)."""
+    inst = load_instance(name, "ci")
+    payload = inst.formula.packed().to_bytes()
+    calls = 0
+    digest = packed_mod.clause_digest
+
+    def counting_digest(lits):
+        nonlocal calls
+        calls += 1
+        return digest(lits)
+
+    monkeypatch.setattr(packed_mod, "clause_digest", counting_digest)
+    fps = {PackedCNF.from_bytes(payload).fingerprint() for _ in range(20)}
+    assert len(fps) == 1
+    distinct = len(set(PackedCNF.from_bytes(payload).iter_clauses()))
+    assert calls == distinct, f"{name}: {calls} clause digests for {distinct} clauses"

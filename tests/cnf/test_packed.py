@@ -10,9 +10,12 @@ formula — and fp-v2 must equal its from-scratch oracle after every edit.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
+from repro.cnf import packed as packed_mod
 from repro.cnf.assignment import Assignment
 from repro.cnf.clause import Clause
 from repro.cnf.formula import CNFFormula
@@ -198,27 +201,45 @@ class TestIncrementalMaintenance:
         """The kernel tracks add/remove clause + add/eliminate variable."""
         rng = random.Random(chain_seed)
         f = random_ksat(rng.randint(4, 9), rng.randint(6, 25), k=3, rng=rng)
+        _mutate_in_sync(f, f.packed(), rng)
+
+    @pytest.mark.parametrize("chain_seed", range(8))
+    def test_mutation_chain_after_a_memo_answer(self, chain_seed, fresh_fp_memo):
+        """A kernel the fingerprint memo answered carries no digest state;
+        edits after that must still track the oracle at every step."""
+        rng = random.Random(chain_seed)
+        base = random_ksat(rng.randint(4, 9), rng.randint(6, 25), k=3, rng=rng)
+        payload = base.packed().to_bytes()
+        PackedCNF.from_bytes(payload).fingerprint()        # seen once
+        f = PackedCNF.from_bytes(payload).to_formula()
         p = f.packed()
-        for _ in range(30):
-            op = rng.randrange(4)
-            if op == 0:
-                vs = rng.sample(list(f.variables), k=min(3, f.num_vars))
-                f.add_clause(Clause(v if rng.random() < 0.5 else -v for v in vs))
-            elif op == 1 and f.num_clauses > 1:
-                f.remove_clause_at(rng.randrange(f.num_clauses))
-            elif op == 2:
-                f.add_variable()
-            elif op == 3 and f.num_vars > 2:
-                victim = rng.choice(list(f.variables))
-                try:
-                    f.remove_variable(victim)
-                except Exception:  # pragma: no cover - never empties here
-                    raise
-            assert p is f.packed()
-            # fp-v2 incremental state equals the from-scratch oracle at
-            # *every* step, not just at the end.
-            assert fingerprint_v2(f) == fingerprint_v2_scratch(f)
-        assert_in_sync(f, p)
+        assert fingerprint_v2(f) == fingerprint_v2_scratch(f)
+        assert p._digest_counts is None                    # a memo answer
+        _mutate_in_sync(f, p, rng)
+
+
+def _mutate_in_sync(f: CNFFormula, p: PackedCNF, rng: random.Random) -> None:
+    """Run 30 random EC edits on *f*, checking its kernel *p* throughout."""
+    for _ in range(30):
+        op = rng.randrange(4)
+        if op == 0:
+            vs = rng.sample(list(f.variables), k=min(3, f.num_vars))
+            f.add_clause(Clause(v if rng.random() < 0.5 else -v for v in vs))
+        elif op == 1 and f.num_clauses > 1:
+            f.remove_clause_at(rng.randrange(f.num_clauses))
+        elif op == 2:
+            f.add_variable()
+        elif op == 3 and f.num_vars > 2:
+            victim = rng.choice(list(f.variables))
+            try:
+                f.remove_variable(victim)
+            except Exception:  # pragma: no cover - never empties here
+                raise
+        assert p is f.packed()
+        # fp-v2 incremental state equals the from-scratch oracle at
+        # *every* step, not just at the end.
+        assert fingerprint_v2(f) == fingerprint_v2_scratch(f)
+    assert_in_sync(f, p)
 
 
 class TestFingerprintV2:
@@ -258,3 +279,68 @@ class TestFingerprintV2:
         f.remove_clause([1, 2])
         assert fingerprint_v2(f) != fp_before          # now really gone
         assert fingerprint_v2(f) == fingerprint_v2_scratch(f)
+
+
+class TestFingerprintMemo:
+    """The process-wide fp-v2 memo keyed by the clause sequence."""
+
+    def test_clause_boundaries_are_part_of_the_key(self, fresh_fp_memo):
+        a = PackedCNF.from_clauses([[1, 2], [3]])
+        b = PackedCNF.from_clauses([[1], [2, 3]])
+        assert a.lits == b.lits                    # the same literal stream
+        fa, fb = a.fingerprint(), b.fingerprint()
+        assert fa != fb
+        assert len(fresh_fp_memo) == 2
+        assert PackedCNF.from_bytes(a.to_bytes()).fingerprint() == fa
+        assert PackedCNF.from_bytes(b.to_bytes()).fingerprint() == fb
+
+    def test_memo_keeps_the_newest_entries_up_to_its_bound(
+        self, fresh_fp_memo, monkeypatch
+    ):
+        monkeypatch.setattr(packed_mod, "_FP_MEMO_MAX", 8)
+        payloads = [
+            random_ksat(6, 10 + i, k=3, rng=i).packed().to_bytes() for i in range(20)
+        ]
+        fps = [PackedCNF.from_bytes(b).fingerprint() for b in payloads]
+        assert len(set(fps)) == 20
+        assert list(fresh_fp_memo.values()) == fps[-8:]
+        # An evicted kernel is recomputed from its digests, correctly.
+        again = PackedCNF.from_bytes(payloads[0])
+        assert again.fingerprint() == fps[0]
+        assert again._digest_counts is not None
+        assert fps[0] == fingerprint_v2_scratch(again.to_formula())
+        assert list(fresh_fp_memo.values()) == fps[-7:] + fps[:1]
+
+    def test_concurrent_decodes_agree_with_the_oracle(self, fresh_fp_memo, monkeypatch):
+        """4 threads over 16 payloads, half seen before and half new, with a
+        bound below the working set so evictions race the lock-free gets."""
+        bound = 12
+        monkeypatch.setattr(packed_mod, "_FP_MEMO_MAX", bound)
+        formulas = [random_ksat(10, 30 + i, k=3, rng=100 + i) for i in range(16)]
+        payloads = [f.packed().to_bytes() for f in formulas]
+        oracle = [fingerprint_v2_scratch(f) for f in formulas]
+        for payload in payloads[:8]:
+            PackedCNF.from_bytes(payload).fingerprint()
+        wrong: list[int] = []
+        sizes: list[int] = []
+
+        def worker(t: int) -> None:
+            for i in range(200):
+                j = (7 * t + i) % len(payloads)
+                if PackedCNF.from_bytes(payloads[j]).fingerprint() != oracle[j]:
+                    wrong.append(j)
+                sizes.append(len(fresh_fp_memo))
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
+        assert len(sizes) == 800 and max(sizes) <= bound

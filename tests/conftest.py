@@ -12,6 +12,20 @@ from repro.cnf.generators import random_planted_ksat
 
 
 @pytest.fixture
+def fresh_fp_memo(monkeypatch) -> dict:
+    """An empty fp-v2 memo for one test (the real memo lives as long as
+    the process, so a value seen by an earlier test would answer).
+
+    ``raising=False`` lets the fp-v2 golden values run unchanged against
+    a kernel without a memo."""
+    from repro.cnf import packed
+
+    memo: dict = {}
+    monkeypatch.setattr(packed, "_FP_MEMO", memo, raising=False)
+    return memo
+
+
+@pytest.fixture
 def rng() -> random.Random:
     """Deterministic RNG for tests."""
     return random.Random(12345)
