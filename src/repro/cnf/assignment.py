@@ -8,6 +8,7 @@ value").
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from repro.cnf.literals import check_variable
@@ -26,13 +27,30 @@ class Assignment:
             self[var] = val
 
     @classmethod
+    def _wrap(cls, values: dict[int, bool]) -> "Assignment":
+        """Adopt *values*, already valid, without checking it again."""
+        out = cls.__new__(cls)
+        out._values = values
+        return out
+
+    @classmethod
     def from_literals(cls, literals: Iterable[int]) -> "Assignment":
         """Build an assignment from signed literals (e.g. DPLL model output).
+
+        Validates while it builds, in one pass: a literal whose variable
+        is not a positive ``int`` goes through :func:`check_variable`,
+        which raises the usual error.
 
         >>> Assignment.from_literals([1, -2, 3]).as_dict()
         {1: True, 2: False, 3: True}
         """
-        return cls({abs(l): l > 0 for l in literals})
+        values: dict[int, bool] = {}
+        for lit in literals:
+            var = abs(lit)
+            if type(var) is not int or var < 1:
+                check_variable(var)
+            values[var] = lit > 0
+        return cls._wrap(values)
 
     @classmethod
     def all_false(cls, variables: Iterable[int]) -> "Assignment":
@@ -112,8 +130,14 @@ class Assignment:
         """A plain dict copy of the mapping."""
         return dict(sorted(self._values.items()))
 
+    def view(self) -> Mapping[int, bool]:
+        """A read-only live view of the mapping, in insertion order (no
+        copy): what array code reads the assignment through."""
+        return MappingProxyType(self._values)
+
     def copy(self) -> "Assignment":
-        return Assignment(self._values)
+        """An independent copy (the mapping is valid already)."""
+        return Assignment._wrap(self._values.copy())
 
     def __getitem__(self, var: int) -> bool:
         try:

@@ -25,7 +25,12 @@ re-hashes the clause set from scratch.
 * a bounded process-wide memo, keyed by a SHA-256 of the clause
   sequence, answers the fingerprint of a kernel decoded again from bytes
   seen before (a repeated wire request, the router's key) with one
-  C-level hash instead of one SHAKE-256 digest per clause.
+  C-level hash instead of one SHAKE-256 digest per clause;
+* the two steps every wire cache hit pays, decoding a payload and
+  checking a model against the kernel, are numpy array operations over
+  the flat arrays, with no per-literal Python loop.  Their memory is
+  O(literals + assigned variables): nothing is sized by the largest
+  variable id, which a wire client may choose up to ``2**31 - 1``.
 
 Invariants (relied on throughout): each clause's literals are
 duplicate-free and sorted by ``(variable, polarity)`` exactly as
@@ -44,7 +49,8 @@ Wire format (version 1, all integers little-endian)::
     lits    i32 x num_lits               DIMACS literals, clause-major
 
 Literals must fit in a signed 32-bit int (every DIMACS tool shares this
-bound).
+bound).  ``vars`` must be strictly increasing positive ids and must
+declare every variable the clauses use.
 """
 
 from __future__ import annotations
@@ -53,7 +59,10 @@ import hashlib
 import struct
 import threading
 from array import array
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator
+
+import numpy as np
 
 from repro.errors import CNFError
 
@@ -88,6 +97,30 @@ _FP_MEMO_MAX = 4096
 #: SHA-256 of a clause sequence -> its fp-v2 hex; oldest insertion first.
 _FP_MEMO: dict[bytes, str] = {}
 _FP_MEMO_LOCK = threading.Lock()
+
+#: Above every literal an ``int32`` can hold; ends the sorted true
+#: literals so a search never runs off their end.
+_SENTINEL = np.iinfo(np.int64).max
+#: The largest variable an ``int32`` literal can name (``-2**31``).
+_LIT_VAR_MAX = 2**31
+
+
+def _true_literals(assignment: "Assignment") -> np.ndarray:
+    """The literals *assignment* makes true, sorted, then the sentinel.
+
+    A variable past ``int64`` can match no ``int32`` literal, so it is
+    dropped rather than allowed to overflow the conversion.
+    """
+    values = assignment.view()
+    try:
+        keys = np.fromiter(chain(values, (_SENTINEL,)), np.int64, len(values) + 1)
+    except OverflowError:
+        values = {v: b for v, b in values.items() if v <= _LIT_VAR_MAX}
+        keys = np.fromiter(chain(values, (_SENTINEL,)), np.int64, len(values) + 1)
+    truth = np.fromiter(chain(values.values(), (True,)), np.bool_, len(keys))
+    out = np.where(truth, keys, -keys)
+    out.sort()
+    return out
 
 
 def clause_digest(lits: tuple[int, ...]) -> int:
@@ -237,20 +270,28 @@ class PackedCNF:
     def is_satisfied(self, assignment: "Assignment") -> bool:
         """True if every clause has at least one true literal.
 
-        Mirrors ``CNFFormula.is_satisfied`` over the flat arrays so packed
-        solver outcomes can be verified without materializing clauses.
+        Agrees with ``CNFFormula.is_satisfied``: an empty clause is never
+        satisfied, no clauses are always satisfied, an unassigned
+        variable is not true, and assigned variables no clause uses are
+        ignored.  Each literal is looked up by binary search among the
+        literals the assignment makes true, and
+        ``np.logical_or.reduceat`` over the clause starts reduces the
+        hits to clause truth, so memory is O(literals + assigned
+        variables) whatever the variable ids.  The arrays are copied
+        out (``tobytes``) so no buffer export outlives the call and an
+        edit afterwards never meets a locked array.
         """
-        lits, offsets = self.lits, self.offsets
-        get = assignment.get
-        for ci in range(len(offsets) - 1):
-            for k in range(offsets[ci], offsets[ci + 1]):
-                lit = lits[k]
-                value = get(abs(lit))
-                if value is not None and (value if lit > 0 else not value):
-                    break
-            else:
-                return False
-        return True
+        if self._num_empty:
+            return False
+        nclauses = len(self.offsets) - 1
+        if not nclauses:
+            return True
+        lits = np.frombuffer(self.lits.tobytes(), np.int32)
+        starts = np.frombuffer(self.offsets.tobytes(), np.int32)[:-1]
+        true_lits = _true_literals(assignment)
+        hits = true_lits.take(true_lits.searchsorted(lits)) == lits
+        satisfied = np.logical_or.reduceat(hits, starts)
+        return int(np.count_nonzero(satisfied)) == nclauses
 
     # ------------------------------------------------------------------
     # EC edit primitives (keep arrays, empties, and digests in sync)
@@ -452,9 +493,15 @@ class PackedCNF:
     def from_bytes(cls, payload: bytes) -> "PackedCNF":
         """Deserialize a :meth:`to_bytes` payload.
 
+        The body is checked by numpy array operations over the payload,
+        with no per-clause Python loop (unsorted or repeated literals
+        within a clause are accepted).
+
         Raises:
-            CNFError: on a bad magic, version, length or offset index, or
-                a 0 literal (unsorted or repeated literals are accepted).
+            CNFError: on a bad magic, version, length or offset index, a
+                0 literal, or a variable declaration that is not
+                strictly increasing positive ids or leaves out a clause
+                variable.
         """
         if len(payload) < _HEADER.size:
             raise CNFError("packed CNF payload truncated (no header)")
@@ -469,16 +516,10 @@ class PackedCNF:
             raise CNFError(
                 f"packed CNF payload is {len(payload)} bytes, expected {expected}"
             )
-        out = cls()
-        pos = _HEADER.size
-        variables = array("i")
-        variables.frombytes(payload[pos : pos + item * nvars])
-        pos += item * nvars
-        offsets = array("i")
-        offsets.frombytes(payload[pos : pos + item * (nclauses + 1)])
-        pos += item * (nclauses + 1)
-        lits = array("i")
-        lits.frombytes(payload[pos:])
+        body = np.frombuffer(payload, np.int32, offset=_HEADER.size)
+        variables = body[:nvars]
+        offsets = body[nvars : nvars + nclauses + 1]
+        lits = body[nvars + nclauses + 1 :]
         # The offset index must be internally consistent, not just the
         # right length: solvers trust these spans blindly, and a mangled
         # clause set could otherwise produce a silently wrong (trusted,
@@ -487,19 +528,36 @@ class PackedCNF:
             raise CNFError(
                 "packed CNF offsets inconsistent with the literal count"
             )
-        if 0 in lits:
-            raise CNFError("packed CNF payload holds the literal 0")
-        empties = 0
-        for i in range(nclauses):
-            if offsets[i] > offsets[i + 1]:
-                raise CNFError("packed CNF clause offsets are not monotonic")
-            if offsets[i] == offsets[i + 1]:
-                empties += 1
-        out.lits = lits
-        out.offsets = offsets
-        out._varset = set(variables)
-        out._vars_sorted = tuple(variables)
-        out._num_empty = empties
+        widths = offsets[1:] - offsets[:-1]
+        if nclauses and np.minimum.reduce(widths) < 0:
+            raise CNFError("packed CNF clause offsets are not monotonic")
+        # Solvers index their per-variable state by the declared
+        # variables, so an undeclared clause variable fails every racer.
+        declared = variables.tolist()
+        varset = set(declared)
+        if declared and (declared[0] < 1 or sorted(varset) != declared):
+            raise CNFError(
+                "packed CNF variables are not strictly increasing positive ids"
+            )
+        # Count the literals whose variable is declared: each declared id
+        # spans its own run of the sorted literal variables (the ids are
+        # distinct, so runs never overlap).  A 0 literal is never
+        # declared, and neither is ``abs(-2**31)``, which stays negative.
+        used = np.abs(lits)
+        used.sort()
+        covered = used.searchsorted(variables, "right") - used.searchsorted(variables)
+        if covered.sum() != nlits:
+            if 0 in lits:
+                raise CNFError("packed CNF payload holds the literal 0")
+            raise CNFError("packed CNF clauses use an undeclared variable")
+        pos = _HEADER.size + item * nvars
+        out = cls()
+        out.offsets = array("i")
+        out.offsets.frombytes(payload[pos : pos + item * (nclauses + 1)])
+        out.lits.frombytes(payload[pos + item * (nclauses + 1) :])
+        out._varset = varset
+        out._vars_sorted = tuple(declared)
+        out._num_empty = nclauses - int(np.count_nonzero(widths))
         return out
 
     # ------------------------------------------------------------------

@@ -225,7 +225,7 @@ class IncrementalSession:
             # still far cheaper than any solver.
             survived = (
                 not self._tightening_pending
-                or self.formula.is_satisfied(self.assignment)
+                or self.formula.packed().is_satisfied(self.assignment)
             )
             if survived:
                 self._tightening_pending = False

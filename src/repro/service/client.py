@@ -9,10 +9,10 @@ switch between an in-process service and a daemon by swapping one
 object.  ``repro solve FILE --connect SOCKET`` is exactly this client.
 
 A by-value formula is shipped as the packed kernel's raw wire bytes
-(:meth:`~repro.cnf.packed.PackedCNF.to_bytes`): the daemon rebuilds the
-flat arrays with two C-level copies and never sees the client's object
-graph — the portfolio's worker transport, reused across the process
-boundary.
+(:meth:`~repro.cnf.packed.PackedCNF.to_bytes`): the daemon checks and
+copies out the flat arrays with numpy array operations and never sees
+the client's object graph — the portfolio's worker transport, reused
+across the process boundary.
 
 **Retry policy** — the client retries *transport* failures (a dropped
 connection, a truncated frame, a refused connect while the daemon

@@ -646,11 +646,13 @@ class SolverService:
     # ------------------------------------------------------------------
     def _materialize(self, request: SolveRequest) -> PackedCNF:
         """The request's packed kernel, whichever source carried it (wire
-        bytes stop at :meth:`PackedCNF.from_bytes`)."""
+        bytes stop at :meth:`PackedCNF.from_bytes`, the ``materialize``
+        trace stage)."""
         if request.formula is not None:
             return request.formula.packed()
         if request.packed_bytes is not None:
-            return PackedCNF.from_bytes(request.packed_bytes)
+            with tracing.stage("materialize"):
+                return PackedCNF.from_bytes(request.packed_bytes)
         if request.dimacs_path is not None:
             from repro.cnf.dimacs import read_dimacs
 

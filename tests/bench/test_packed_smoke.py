@@ -6,8 +6,9 @@ prebuilt kernel at least as fast as from a cold object graph (which
 pays the same solve *plus* kernel construction), within a generous noise
 margin, and the wire transport must stay cheaper than pickling the
 object graph.  A repeated wire request must digest each clause once,
-not once per decode (a count, so it cannot flake on a slow host).  The
-full comparison with real numbers lives in ``repro bench engine``
+not once per decode, and a wire cache hit must read and copy its model
+with no per-variable Python call (counts, so they cannot flake on a slow
+host).  The full comparison with real numbers lives in ``repro bench engine``
 (experiment 6, nightly lane).
 """
 
@@ -19,10 +20,15 @@ import time
 import pytest
 
 from repro.bench.registry import load_instance
+from repro.cnf import assignment as assignment_mod
 from repro.cnf import packed as packed_mod
+from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.cnf.packed import PackedCNF
 from repro.engine.adapters import CDCLAdapter
+from repro.engine.config import EngineConfig
+from repro.service.requests import SolveRequest
+from repro.service.service import SolverService
 
 #: CI-tier families the smoke test covers (kept tiny: two rows, one solver).
 _FAMILIES = ("par8-1-c", "ii8a1")
@@ -136,3 +142,37 @@ def test_repeated_decodes_digest_each_clause_once(name, fresh_fp_memo, monkeypat
     assert len(fps) == 1
     distinct = len(set(PackedCNF.from_bytes(payload).iter_clauses()))
     assert calls == distinct, f"{name}: {calls} clause digests for {distinct} clauses"
+
+
+@pytest.mark.parametrize("name", _FAMILIES)
+def test_wire_cache_hits_make_no_per_variable_calls(name, monkeypatch):
+    """20 cache hits served from wire bytes: the cache's model copy
+    validates no variable again and the cached-model check reads no
+    variable one at a time (before the array check, each hit made one
+    ``check_variable`` call per model variable and hundreds of
+    ``Assignment.get`` calls)."""
+    inst = load_instance(name, "ci")
+    payload = inst.formula.packed().to_bytes()
+    calls = {"check_variable": 0, "get": 0}
+    check, get = assignment_mod.check_variable, Assignment.get
+
+    def counting_check(var):
+        calls["check_variable"] += 1
+        return check(var)
+
+    def counting_get(self, var, default=None):
+        calls["get"] += 1
+        return get(self, var, default)
+
+    with SolverService(EngineConfig(jobs=1)) as service:
+        assert service.solve(SolveRequest(packed_bytes=payload, seed=0)).status == "sat"
+        monkeypatch.setattr(assignment_mod, "check_variable", counting_check)
+        monkeypatch.setattr(Assignment, "get", counting_get)
+        hits = [
+            service.solve(SolveRequest(packed_bytes=payload, seed=0))
+            for _ in range(20)
+        ]
+        counted = dict(calls)
+    assert [h.source for h in hits] == ["cache"] * 20
+    assert counted == {"check_variable": 0, "get": 0}
+    assert all(inst.formula.is_satisfied(h.assignment) for h in hits)

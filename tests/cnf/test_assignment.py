@@ -1,5 +1,6 @@
 """Unit tests for (partial) truth assignments."""
 
+import numpy as np
 import pytest
 
 from repro.cnf.assignment import Assignment
@@ -26,6 +27,37 @@ class TestConstruction:
     def test_rejects_bad_variable(self):
         with pytest.raises(Exception):
             Assignment({0: True})
+
+    @pytest.mark.parametrize(
+        "literals",
+        [
+            [0], [3, 0], [False],                   # variable 0
+            [1.5], [2, -1.0], [np.int64(3)],        # not an int
+            ["x"], [None],                          # no abs()
+            [True], [1, -1], [-(2**31), 2**70],     # accepted
+        ],
+    )
+    def test_from_literals_matches_the_validating_constructor(self, literals):
+        """The one-pass build raises exactly what validating every
+        variable through the constructor raises, and accepts the rest."""
+
+        def outcome(build):
+            try:
+                return build().as_dict()
+            except Exception as exc:  # noqa: BLE001 - compared, not hidden
+                return type(exc), str(exc)
+
+        assert outcome(lambda: Assignment.from_literals(literals)) == outcome(
+            lambda: Assignment({abs(lit): lit > 0 for lit in literals})
+        )
+
+    def test_view_is_read_only_and_live(self):
+        a = Assignment({1: True})
+        view = a.view()
+        with pytest.raises(TypeError):
+            view[2] = False
+        a[2] = False
+        assert dict(view) == {1: True, 2: False}
 
 
 class TestAccess:
@@ -96,3 +128,4 @@ class TestCombinators:
         b = a.copy()
         b.flip(1)
         assert a[1] is True
+

@@ -12,8 +12,12 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import tracemalloc
+from array import array
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.cnf import packed as packed_mod
 from repro.cnf.assignment import Assignment
@@ -23,6 +27,22 @@ from repro.cnf.generators import random_ksat
 from repro.cnf.packed import PackedCNF
 from repro.engine.fingerprint import fingerprint_v2, fingerprint_v2_scratch
 from repro.errors import CNFError
+
+
+def raw_payload(clauses, declared) -> bytes:
+    """A wire payload holding exactly these clause literals (unsorted,
+    repeated, anything) and this variable declaration."""
+    lits: list[int] = []
+    offsets = [0]
+    for cl in clauses:
+        lits.extend(cl)
+        offsets.append(len(lits))
+    header = packed_mod._HEADER.pack(
+        b"PCNF", 1, len(declared), len(clauses), len(lits)
+    )
+    return header + b"".join(
+        array("i", part).tobytes() for part in (declared, offsets, lits)
+    )
 
 
 def assert_in_sync(formula: CNFFormula, packed: PackedCNF) -> None:
@@ -78,10 +98,12 @@ class TestWireFormat:
         f = random_ksat(10, 40, k=3, rng=3)
         f.add_variable()                           # a free variable
         p = f.packed()
-        q = PackedCNF.from_bytes(p.to_bytes())
-        assert q == p
-        assert q.variables == p.variables
-        assert list(q.iter_clauses()) == list(p.iter_clauses())
+        payload = p.to_bytes()
+        for blob in (payload, bytearray(payload), memoryview(payload)):
+            q = PackedCNF.from_bytes(blob)
+            assert q == p
+            assert q.variables == p.variables
+            assert list(q.iter_clauses()) == list(p.iter_clauses())
 
     def test_round_trip_preserves_empty_clause(self):
         f = CNFFormula([[1], [1, 2]])
@@ -142,6 +164,28 @@ class TestWireFormat:
         item = array("i").itemsize
         mangled[-4 * item:] = array("i", [2, 1, 3, 3]).tobytes()
         assert list(PackedCNF.from_bytes(bytes(mangled)).lits) == [2, 1, 3, 3]
+
+    @pytest.mark.parametrize(
+        "declared, error",
+        [
+            ([], "undeclared"),                    # none of 1-3 declared
+            ([1, 2], "undeclared"),                # 3 left out
+            ([1, 3, 2], "strictly increasing"),
+            ([1, 2, 2, 3], "strictly increasing"),
+            ([0, 1, 2, 3], "strictly increasing"),
+            ([-4, 1, 2, 3], "strictly increasing"),
+            # 3 -> -2**31 wraps to a positive int32 difference.
+            ([1, 2, 3, -(2**31)], "strictly increasing"),
+        ],
+    )
+    def test_malformed_variable_declaration_rejected(self, declared, error):
+        with pytest.raises(CNFError, match=error):
+            PackedCNF.from_bytes(raw_payload([[1, -2], [2, 3]], declared))
+
+    def test_literal_naming_a_variable_past_int32_rejected(self):
+        # -2**31 names variable 2**31, which no int32 declaration holds.
+        with pytest.raises(CNFError, match="undeclared"):
+            PackedCNF.from_bytes(raw_payload([[-(2**31), 1]], [1, 2**31 - 1]))
 
     def test_empty_formula_round_trip(self):
         q = PackedCNF.from_bytes(PackedCNF.from_formula(CNFFormula()).to_bytes())
@@ -218,9 +262,22 @@ class TestIncrementalMaintenance:
         _mutate_in_sync(f, p, rng)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_wire_round_trip_along_edit_chains(self, chain_seed):
+        """Every kernel an edit chain reaches declares all its clause
+        variables, strictly increasing, so ``from_bytes`` takes it back
+        (``_mutate_in_sync`` round-trips the kernel after every edit)."""
+        rng = random.Random(chain_seed)
+        f = random_ksat(rng.randint(4, 9), rng.randint(6, 25), k=3, rng=rng)
+        _mutate_in_sync(f, f.packed(), rng)
+
+
 def _mutate_in_sync(f: CNFFormula, p: PackedCNF, rng: random.Random) -> None:
-    """Run 30 random EC edits on *f*, checking its kernel *p* throughout."""
-    for _ in range(30):
+    """Run 30 random EC edits on *f*, checking its kernel *p* throughout:
+    the fingerprint, the wire round trip, and the model check against the
+    formula's, each after every edit."""
+    for step in range(30):
         op = rng.randrange(4)
         if op == 0:
             vs = rng.sample(list(f.variables), k=min(3, f.num_vars))
@@ -239,6 +296,11 @@ def _mutate_in_sync(f: CNFFormula, p: PackedCNF, rng: random.Random) -> None:
         # fp-v2 incremental state equals the from-scratch oracle at
         # *every* step, not just at the end.
         assert fingerprint_v2(f) == fingerprint_v2_scratch(f)
+        assert PackedCNF.from_bytes(p.to_bytes()) == p
+        # A model of its own stream, so the edits stay those of the seed.
+        coin = random.Random(step)
+        model = Assignment({v: coin.random() < 0.5 for v in f.variables})
+        assert p.is_satisfied(model) == f.is_satisfied(model)
     assert_in_sync(f, p)
 
 
@@ -344,3 +406,93 @@ class TestFingerprintMemo:
         assert not any(th.is_alive() for th in threads)
         assert wrong == []
         assert len(sizes) == 800 and max(sizes) <= bound
+
+
+#: Literals over variables 1-6; a clause may be empty, tautological or
+#: repeat a literal, in any order.
+_LITERAL = st.integers(1, 6).flatmap(lambda v: st.sampled_from([v, -v]))
+_CLAUSES = st.lists(st.lists(_LITERAL, max_size=5), max_size=8)
+#: Variables an assignment may hold: clause variables, variables no clause
+#: uses, and ids past int32 and int64.
+_ASSIGNABLE = [1, 2, 3, 4, 5, 6, 7, 11, 2**31 - 1, 2**31, 2**40, 2**63, 2**70]
+
+
+@st.composite
+def _assignments(draw):
+    variables = draw(st.lists(st.sampled_from(_ASSIGNABLE), unique=True))
+    values = draw(
+        st.lists(st.booleans(), min_size=len(variables), max_size=len(variables))
+    )
+    return Assignment(dict(zip(variables, values)))
+
+
+class TestKernelCheck:
+    """``PackedCNF.is_satisfied`` against ``CNFFormula.is_satisfied``, and
+    the array kernel's memory and buffer safety."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CLAUSES, _assignments())
+    @example([], Assignment())                              # no clauses
+    @example([], Assignment({3: True}))
+    @example([[1], []], Assignment({1: True}))              # an empty clause
+    @example([[1, -1]], Assignment())                       # a tautology
+    @example([[2, 1, 2], [2, 1, 2]], Assignment({1: False, 2: True}))
+    @example([[1, 2]], Assignment({1: True, 2**70: False}))  # past int64
+    @example([[1, 2]], Assignment({2**70: True, 2**64: True}))
+    def test_agrees_with_the_formula(self, clauses, assignment):
+        # A formula gets an empty clause only by eliminating a variable,
+        # as an EC edit does: stand 99 in for each, then eliminate it.
+        formula = CNFFormula(
+            [Clause(cl or [99], allow_tautology=True) for cl in clauses]
+        )
+        if [] in clauses:
+            formula.remove_variable(99)
+        expected = formula.is_satisfied(assignment)
+        assert formula.packed().is_satisfied(assignment) is expected
+        # The wire keeps literals as sent: repeats and any order.
+        declared = sorted({abs(lit) for cl in clauses for lit in cl})
+        sent = PackedCNF.from_bytes(raw_payload(clauses, declared))
+        assert sent.is_satisfied(assignment) is expected
+
+    def test_variable_2_31_minus_1_allocates_no_table(self):
+        big = 2**31 - 1
+        payload = PackedCNF.from_clauses([[1, -big], [2, big]]).to_bytes()
+        models = (Assignment({1: True, big: True}), Assignment({1: False, big: True}))
+        tracemalloc.start()
+        try:
+            kernel = PackedCNF.from_bytes(payload)
+            verdicts = [kernel.is_satisfied(m) for m in models]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdicts == [True, False]
+        assert peak < 1 << 20
+
+    def test_the_largest_literal_is_not_mistaken_for_the_end(self):
+        big = 2**31 - 1
+        kernel = PackedCNF.from_bytes(PackedCNF.from_clauses([[big]]).to_bytes())
+        assert kernel.is_satisfied(Assignment({big: True})) is True
+        assert kernel.is_satisfied(Assignment({big: False})) is False
+        assert kernel.is_satisfied(Assignment()) is False
+
+    def test_edits_after_a_check_meet_no_locked_buffer(self, monkeypatch):
+        kernel = PackedCNF.from_clauses([[1, 2], [-1, 3]])
+        model = Assignment({1: True, 3: True})
+        assert kernel.is_satisfied(model)
+        kernel.append_clause((-3,))
+        assert not kernel.is_satisfied(model)
+        kernel.remove_clause_at(2)
+        kernel.eliminate_variable(2)
+        assert kernel.is_satisfied(model)
+
+        # A check that raises keeps its frame alive in the traceback: even
+        # then no array of the kernel may stay exported.
+        def fail(assignment):
+            raise RuntimeError("mid-check")
+
+        monkeypatch.setattr(packed_mod, "_true_literals", fail)
+        with pytest.raises(RuntimeError) as raised:
+            kernel.is_satisfied(model)
+        kernel.append_clause((-1, 3))
+        kernel.remove_clause_at(0)
+        assert raised.traceback                     # still holds the frame

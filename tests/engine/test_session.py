@@ -93,6 +93,20 @@ class TestTightening:
         assert session.solver_calls == calls_before
         assert session.history[-1].source == "revalidation"
 
+    def test_revalidation_runs_the_kernel_check(self, session, monkeypatch):
+        """Tightening revalidation reads the maintained kernel's arrays,
+        not the clause objects."""
+        model = session.solve(seed=0)
+        var = next(iter(session.formula.variables))
+        lit = var if model.get(var, False) else -var
+        session.apply_changes(ChangeSet([AddClause(Clause([lit]))]))
+
+        def refuse(self, assignment):
+            raise AssertionError("revalidated over clause objects")
+
+        monkeypatch.setattr(CNFFormula, "is_satisfied", refuse)
+        assert session.resolve_query(seed=0).source == "revalidation"
+
     def test_remove_variable_is_tightening(self, session):
         session.solve(seed=0)
         var = next(iter(session.formula.variables))

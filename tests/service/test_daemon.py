@@ -21,6 +21,7 @@ from repro.cnf.clause import Clause
 from repro.cnf.dimacs import write_dimacs
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import random_planted_ksat
+from repro.cnf import packed as packed_mod
 from repro.cnf.packed import PackedCNF
 from repro.core.change import AddClause, AddVariable, ChangeSet, RemoveClause
 from repro.engine.config import EngineConfig
@@ -41,6 +42,14 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 @pytest.fixture
 def planted():
     return random_planted_ksat(12, 36, rng=6)
+
+
+def undeclared(payload: bytes) -> bytes:
+    """*payload* with its variable declaration dropped, clauses kept."""
+    header = packed_mod._HEADER
+    magic, version, nvars, nclauses, nlits = header.unpack_from(payload)
+    clauses = payload[header.size + 4 * nvars:]
+    return header.pack(magic, version, 0, nclauses, nlits) + clauses
 
 
 @pytest.fixture
@@ -105,6 +114,39 @@ class TestInProcessDaemon:
             with pytest.raises(ServiceError, match="unknown session"):
                 client.change(ChangeRequest("ghost", ChangeSet()))
             assert client.ping()          # same connection still serves
+
+    def test_undeclared_clause_variables_are_an_error_frame(self, daemon, planted):
+        """Refused at decode: before the check, every racer of the
+        portfolio failed on the missing variables and the answer was
+        ``unknown``."""
+        f, _ = planted
+        payload = undeclared(f.packed().to_bytes())
+        engine = daemon.service.engine
+        with ServiceClient(daemon.socket_path) as client:
+            with pytest.raises(ServiceError, match="undeclared variable"):
+                client.solve(SolveRequest(packed_bytes=payload, seed=0))
+            assert client.ping()          # same connection still serves
+        assert engine.counters()["races"] == 0
+        assert engine.counters()["solves"] == 0
+
+    def test_a_batch_holding_one_undeclared_payload_is_an_error_frame(
+        self, daemon, planted
+    ):
+        from repro.service.wire import recv_frame, send_frame
+
+        good = planted[0].packed().to_bytes()
+        bad = undeclared(random_planted_ksat(12, 36, rng=7)[0].packed().to_bytes())
+        with ServiceClient(daemon.socket_path) as client:
+            send_frame(
+                client._sock,
+                {"op": "solve_many", "lens": [len(good), len(bad)]},
+                good + bad,
+            )
+            header, _ = recv_frame(client._sock)
+            assert header["ok"] is False
+            assert "undeclared variable" in header["error"]
+            assert client.ping()          # same connection still serves
+        assert daemon.service.engine.counters()["races"] == 0
 
     def test_unsat_is_a_verdict_not_an_error(self, daemon):
         with ServiceClient(daemon.socket_path) as client:

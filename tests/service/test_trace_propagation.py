@@ -86,13 +86,17 @@ class TestEndToEndPropagation:
             json.loads(line) for line in node_log.read_text().splitlines()
         ]
         names = {s["name"] for s in node_spans}
-        assert {"daemon.solve", "fingerprint", "engine.solve", "cache.lookup"} <= names
+        assert {
+            "daemon.solve", "materialize", "fingerprint", "engine.solve",
+            "cache.lookup",
+        } <= names
         # One trace across both services, rooted at the client.
         assert {s["trace"] for s in node_spans} == {root["trace"]}
         by_name = {s["name"]: s for s in node_spans}
         assert by_name["daemon.solve"]["parent"] == root["span"]
-        # Fingerprinting is its own stage, a sibling of the engine's.
-        for stage in ("fingerprint", "engine.solve"):
+        # Decoding the wire bytes and fingerprinting are stages of their
+        # own, siblings of the engine's.
+        for stage in ("materialize", "fingerprint", "engine.solve"):
             assert by_name[stage]["parent"] == by_name["daemon.solve"]["span"]
         assert by_name["cache.lookup"]["tags"]["tier"] == "miss"
         # The race's synthetic solve span carries the CDCL counters.
