@@ -524,12 +524,14 @@ class PackedCNF:
         # right length: solvers trust these spans blindly, and a mangled
         # clause set could otherwise produce a silently wrong (trusted,
         # never model-verified) UNSAT verdict instead of a parse error.
+        # Offsets are compared, never subtracted: an int32 difference of
+        # two wire offsets can wrap to a harmless-looking width.
         if offsets[0] != 0 or offsets[-1] != nlits:
             raise CNFError(
                 "packed CNF offsets inconsistent with the literal count"
             )
-        widths = offsets[1:] - offsets[:-1]
-        if nclauses and np.minimum.reduce(widths) < 0:
+        starts, ends = offsets[:-1], offsets[1:]
+        if (ends < starts).any():
             raise CNFError("packed CNF clause offsets are not monotonic")
         # Solvers index their per-variable state by the declared
         # variables, so an undeclared clause variable fails every racer.
@@ -557,7 +559,7 @@ class PackedCNF:
         out.lits.frombytes(payload[pos + item * (nclauses + 1) :])
         out._varset = varset
         out._vars_sorted = tuple(declared)
-        out._num_empty = nclauses - int(np.count_nonzero(widths))
+        out._num_empty = int(np.count_nonzero(ends == starts))
         return out
 
     # ------------------------------------------------------------------

@@ -145,6 +145,40 @@ class TestWireFormat:
         mangled[middle : middle + item] = array("i", [5]).tobytes()
         with pytest.raises(CNFError, match="monotonic"):
             PackedCNF.from_bytes(bytes(mangled))
+        # Every int32 difference of these offsets is non-negative once it
+        # wraps (2**31 - 1, then -2**31 - 1 -> 2**31 - 1, then 6).
+        wrapping = packed_mod._HEADER.pack(b"PCNF", 1, 4, 3, 4) + b"".join(
+            array("i", part).tobytes()
+            for part in ([1, 2, 3, 4], [0, 2**31 - 1, -2, 4], [1, 2, 3, 4])
+        )
+        with pytest.raises(CNFError, match="monotonic"):
+            PackedCNF.from_bytes(wrapping)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 6) | st.integers(-(2**31), 2**31 - 1), max_size=6),
+        st.integers(0, 6),
+    )
+    @example([2**31 - 1, -2], 4)
+    def test_offset_index_decodes_exactly_when_monotonic(self, inner, nlits):
+        """Any int32 offset index from 0 to the literal count decodes
+        exactly when it never decreases (judged on Python ints, which
+        cannot wrap), and then every clause spans its offsets."""
+        offsets = [0, *inner, nlits]
+        declared = list(range(1, nlits + 1))
+        payload = packed_mod._HEADER.pack(
+            b"PCNF", 1, nlits, len(offsets) - 1, nlits
+        ) + b"".join(
+            array("i", part).tobytes() for part in (declared, offsets, declared)
+        )
+        widths = [b - a for a, b in zip(offsets, offsets[1:])]
+        if min(widths) < 0:
+            with pytest.raises(CNFError, match="monotonic"):
+                PackedCNF.from_bytes(payload)
+            return
+        kernel = PackedCNF.from_bytes(payload)
+        assert [len(cl) for cl in kernel.iter_clauses()] == widths
+        assert kernel.has_empty_clause() == (0 in widths)
 
     def test_zero_literal_rejected(self):
         from array import array
