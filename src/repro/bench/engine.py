@@ -6,9 +6,9 @@ runs three experiments per benchmark row:
 1. **sequential** — each single solver configuration (CDCL, DPLL,
    WalkSAT, the paper's exact ILP route) run alone; the per-row minimum
    is the "best single sequential solver" baseline;
-2. **portfolio** — a :class:`~repro.engine.engine.PortfolioEngine` of its
-   own, with warmed workers, no quick slice and the cache bypassed,
-   measuring the raw race;
+2. **portfolio** — the raw race of a
+   :class:`~repro.engine.engine.PortfolioEngine`'s own portfolio, with
+   warmed workers and no quick slice (no fingerprint, no cache);
 3. **successive-change** — a chain of loosening engineering changes
    re-solved (a) from scratch with the best sequential solver and (b)
    through an :class:`~repro.engine.session.IncrementalSession`, whose
@@ -156,14 +156,12 @@ def bench_row(
     row.best_solver = min(row.sequential, key=row.sequential.get)
     row.best_sequential = row.sequential[row.best_solver]
 
-    # 2. the portfolio race (cache bypassed; workers already warm).
-    wall, eres = _best_of(
-        rounds, racer.solve, packed, seed=seed, use_cache=False
-    )
-    if eres.status != "sat":
+    # 2. the raw portfolio race (no cache; workers already warm).
+    wall, race = _best_of(rounds, racer.portfolio.solve, packed, seed=seed)
+    if race.outcome.status != "sat":
         raise ReproError(f"portfolio did not decide {inst.name}")
     row.portfolio = wall
-    row.portfolio_winner = eres.source
+    row.portfolio_winner = race.winner
     row.portfolio_ratio = row.portfolio / row.best_sequential
 
     # ... and the repeated-query path through the fingerprint cache.

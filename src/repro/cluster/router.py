@@ -14,7 +14,9 @@ owner, and relays the frame verbatim:
 * **named sessions** route by session name: incremental state lives in
   one node's memory, so every op of a session must land on that node
   (the one placement anti-entropy cannot help with);
-* **batches** route by a digest of the whole payload.
+* **batches** route by a digest of the whole payload;
+* a solve frame with neither payload nor session routes by its op, and
+  the node it reaches answers it with an error frame.
 
 Failure handling reuses the client stack's machinery rather than
 inventing its own: each relay goes through a per-connection
@@ -314,8 +316,6 @@ class RouterDaemon(FrameServer):
                 # Malformed payload: still route it somewhere stable so
                 # the owning node produces the authoritative parse error.
                 return "payload:" + hashlib.sha256(payload).hexdigest()
-        if op == "solve" and header.get("dimacs_path"):
-            return "path:" + str(header["dimacs_path"])
         if payload:
             return "payload:" + hashlib.sha256(payload).hexdigest()
         return f"op:{op}"

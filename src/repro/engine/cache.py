@@ -98,7 +98,14 @@ class CacheBackend(Protocol):
 
     def info(self) -> dict:
         """Introspection snapshot: ``backend`` name, ``entries`` count,
-        (approximate) resident ``bytes``, and lifetime ``evictions``."""
+        (approximate) resident ``bytes``, and lifetime ``evictions``.
+        Safe to call without the engine lock, concurrently with
+        ``get``/``put``."""
+        ...
+
+    def health(self) -> dict:
+        """Degraded-mode flags: ``backend`` name, ``degraded``, and the
+        I/O ``errors`` absorbed (the daemon's ``health`` op)."""
         ...
 
     def __contains__(self, fp: str) -> bool: ...
@@ -153,6 +160,12 @@ class SolutionCache:
             return
         if satisfiable and assignment is None:
             raise ValueError("a satisfiable entry requires a model")
+        # Evict before inserting: an ``info`` reading without the engine
+        # lock never sees more than ``max_entries`` entries.
+        if fp not in self._entries:
+            while len(self._entries) >= self.max_entries:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
         self._entries[fp] = CacheEntry(
             fingerprint=fp,
             satisfiable=satisfiable,
@@ -161,9 +174,6 @@ class SolutionCache:
         )
         self._entries.move_to_end(fp)
         self.stats.stores += 1
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
 
     def invalidate(self, fp: str) -> bool:
         """Drop one entry; returns whether it existed."""
@@ -179,19 +189,26 @@ class SolutionCache:
         The byte size is an estimate (per-entry object overhead plus
         ~48 bytes per assigned variable for the model's dict slots) —
         good enough to watch a cache grow toward capacity, not an
-        allocator-exact audit.
+        allocator-exact audit.  The entries are copied in one C-level
+        call first (no Python code runs inside it), so a concurrent
+        ``get`` or ``put`` cannot break the loop.
         """
+        entries = list(self._entries.values())
         size = 0
-        for fp, entry in self._entries.items():
-            size += 120 + len(fp)
+        for entry in entries:
+            size += 120 + len(entry.fingerprint)
             if entry.assignment is not None:
                 size += 48 * len(entry.assignment.assigned_variables())
         return {
             "backend": "memory",
-            "entries": len(self._entries),
+            "entries": len(entries),
             "bytes": size,
             "evictions": self.stats.evictions,
         }
+
+    def health(self) -> dict:
+        """Degraded-mode flags: an in-memory cache never degrades."""
+        return {"backend": "memory", "degraded": False, "errors": self.stats.errors}
 
     def __contains__(self, fp: str) -> bool:
         return fp in self._entries

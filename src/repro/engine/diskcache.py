@@ -82,6 +82,14 @@ _JOURNAL_NAME = "_journal.log"
 _FP_CHARS = frozenset("0123456789abcdef")
 
 
+def _mtime(path: Path) -> float:
+    """A file's mtime, oldest-first for one a racing sweep removed."""
+    try:
+        return path.stat().st_mtime
+    except OSError:
+        return float("-inf")
+
+
 @dataclass
 class DiskCache:
     """Fingerprint-keyed persistent verdict store (see module docstring).
@@ -216,25 +224,55 @@ class DiskCache:
             return
         if satisfiable and assignment is None:
             raise ValueError("a satisfiable entry requires a model")
-        if self.degraded:
-            self._put_overlay(fp, satisfiable, assignment, solver)
-            return
-        payload = json.dumps({
-            "fp": fp,
-            "sat": satisfiable,
-            "lits": list(assignment.to_literals()) if satisfiable else None,
-            "solver": solver,
-        })
-        try:
-            self._write_entry(fp, payload)
-        except OSError:
+        lits = list(assignment.to_literals()) if satisfiable else None
+        if self.degraded or not self._store(fp, satisfiable, lits, solver):
             # A full or failing disk must not fail the solve that already
-            # produced this verdict: count it, park in memory-only mode
-            # until the re-probe window expires, keep serving.
+            # produced this verdict: keep serving it from memory.
+            self._put_overlay(fp, satisfiable, assignment, solver)
+
+    def _store(
+        self, fp: str, satisfiable: bool, lits: list | None, solver: str
+    ) -> bool:
+        """Write, journal and count one entry, sweeping past capacity
+        (the only disk-write path).
+
+        The entry goes to a temp file that ``os.replace`` moves into
+        place.  The ``cache.put.io`` / ``cache.put.torn`` fault points
+        live here: the first simulates ENOSPC before anything lands on
+        disk, the second a writer crashing *after* publishing a
+        truncated entry — the worst case the self-healing reader must
+        absorb.  Returns False on an I/O error, which is counted and
+        parks the cache in memory-only mode until the re-probe window
+        expires.
+        """
+        payload = json.dumps(
+            {"fp": fp, "sat": satisfiable, "lits": lits, "solver": solver}
+        )
+        try:
+            if faults.fire("cache.put.io") is not None:
+                raise OSError(errno.ENOSPC, "chaos: no space left on device")
+            if faults.fire("cache.put.torn") is not None:
+                self._path(fp).write_text(
+                    payload[: max(1, len(payload) // 3)], encoding="utf-8"
+                )
+                raise OSError(errno.EIO, "chaos: torn write")
+            # mkstemp guarantees a unique temp name even with many
+            # writers (threads or processes) sharing one directory; the
+            # os.replace into the final name is the atomic publish.
+            fd, tmp = tempfile.mkstemp(
+                dir=self.directory, prefix=".put-", suffix=_TMP_SUFFIX
+            )
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+                os.replace(tmp, self._path(fp))
+            except BaseException:
+                self._unlink(Path(tmp))
+                raise
+        except OSError:
             self.stats.errors += 1
             self._degraded_until = time.monotonic() + self.reprobe_interval
-            self._put_overlay(fp, satisfiable, assignment, solver)
-            return
+            return False
         self.stats.stores += 1
         self._journal_append(fp)
         if self._approx_count is None:
@@ -245,35 +283,7 @@ class DiskCache:
         # past capacity; the scan resyncs the estimate either way.
         if self._approx_count > self.max_entries:
             self._sweep()
-
-    def _write_entry(self, fp: str, payload: str) -> None:
-        """Temp-file + atomic-replace store (the only disk-write path).
-
-        The ``cache.put.io`` / ``cache.put.torn`` fault points live here:
-        the first simulates ENOSPC before anything lands on disk, the
-        second a writer crashing *after* publishing a truncated entry —
-        the worst case the self-healing reader must absorb.
-        """
-        if faults.fire("cache.put.io") is not None:
-            raise OSError(errno.ENOSPC, "chaos: no space left on device")
-        if faults.fire("cache.put.torn") is not None:
-            self._path(fp).write_text(
-                payload[: max(1, len(payload) // 3)], encoding="utf-8"
-            )
-            raise OSError(errno.EIO, "chaos: torn write")
-        # mkstemp guarantees a unique temp name even with many writers
-        # (threads or processes) sharing one directory; the os.replace
-        # into the final name is the atomic publish.
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=".put-", suffix=_TMP_SUFFIX
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, self._path(fp))
-        except BaseException:
-            self._unlink(Path(tmp))
-            raise
+        return True
 
     def _sweep(self) -> None:
         """Unlink oldest-mtime entries until back under capacity."""
@@ -281,11 +291,6 @@ class DiskCache:
         self._approx_count = len(paths)
         if len(paths) <= self.max_entries:
             return
-        def _mtime(p: Path) -> float:
-            try:
-                return p.stat().st_mtime
-            except OSError:               # raced with another sweep
-                return float("-inf")
         paths.sort(key=_mtime)
         for victim in paths[: len(paths) - self.max_entries]:
             if self._unlink(victim):
@@ -321,11 +326,6 @@ class DiskCache:
         if not paths:
             self._journal_len = 0
             return
-        def _mtime(p: Path) -> float:
-            try:
-                return p.stat().st_mtime
-            except OSError:
-                return float("-inf")
         paths.sort(key=_mtime)
         fps = [p.name[: -len(_SUFFIX)] for p in paths]
         try:
@@ -440,27 +440,9 @@ class DiskCache:
             return False
         if fp in self:
             return False
-        payload = json.dumps({
-            "fp": fp,
-            "sat": sat,
-            "lits": lits if sat else None,
-            "solver": str(entry.get("solver", "")),
-        })
-        try:
-            self._write_entry(fp, payload)
-        except OSError:
-            self.stats.errors += 1
-            self._degraded_until = time.monotonic() + self.reprobe_interval
-            return False
-        self.stats.stores += 1
-        self._journal_append(fp)
-        if self._approx_count is None:
-            self._approx_count = len(self._entry_paths())
-        else:
-            self._approx_count += 1
-        if self._approx_count > self.max_entries:
-            self._sweep()
-        return True
+        return self._store(
+            fp, sat, lits if sat else None, str(entry.get("solver", ""))
+        )
 
     # ------------------------------------------------------------------
     def invalidate(self, fp: str) -> bool:

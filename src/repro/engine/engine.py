@@ -1,34 +1,38 @@
-"""The :class:`PortfolioEngine` facade: coalesce -> cache -> revalidate -> race.
+"""The :class:`PortfolioEngine` facade: hint -> cache -> coalesce -> race.
 
 Query path for ``engine.solve(packed, hint=previous_solution)``; every
 step reads the instance's :class:`~repro.cnf.packed.PackedCNF` kernel:
 
-1. **Single-flight coalescing** — an fp-v2 identical query already being
-   solved by another thread is *joined*, not re-run: the caller parks on
-   the in-flight entry and receives an independently-owned copy of the
-   leader's result (``source="inflight-join"``).  This generalizes
-   :meth:`~PortfolioEngine.solve_many`'s intra-batch dedup across
-   requests and threads.
+1. **Fingerprint** — the kernel's incrementally maintained fp-v2 keys
+   the cache and the in-flight table.
 2. **Hint revalidation** — if the caller's previous solution already
    satisfies the instance (every loosening EC lands here), it is adopted
-   and cached; no solver runs.  The hint outranks the cache so a
-   still-valid current solution is never churned for an older cached
-   model — minimal perturbation is the EC objective.
+   and cached; no solver runs.  The hint outranks the cache and any
+   concurrent race on the same instance, so a still-valid current
+   solution is never churned for another model — minimal perturbation
+   is the EC objective.
 3. **Fingerprint lookup** — a content-addressed
    :class:`~repro.engine.cache.SolutionCache` hit answers repeated (and
    round-tripped, reordered, re-derived) instances without any solving.
    Cached models are still revalidated in O(clauses) before being served.
-4. **Portfolio race** — otherwise the configured
-   :class:`~repro.engine.portfolio.Portfolio` races its solvers, and any
-   trusted verdict (verified model, or UNSAT from a complete solver) is
-   cached for the next query.
+4. **Single-flight coalescing** — on a miss, a query whose fingerprint
+   another thread is already racing *joins* that race instead of
+   starting its own: it parks on the in-flight entry and receives an
+   independently-owned copy of the leader's result
+   (``source="inflight-join"``).  This generalizes
+   :meth:`~PortfolioEngine.solve_many`'s intra-batch dedup across
+   requests and threads.
+5. **Portfolio race** — otherwise the configured
+   :class:`~repro.engine.portfolio.Portfolio` races its solvers in
+   line-up order, and any trusted verdict (verified model, or UNSAT from
+   a complete solver) is cached for the next query.
 
 Every answer is one :class:`~repro.engine.protocol.SolveResponse`, and
 every query publishes its counter delta (the ``ENGINE_COUNTERS``) to
 the engine's :class:`~repro.obs.metrics.MetricsRegistry` in one
 ``bump``: the registry is the only counter store, read back through
 :meth:`PortfolioEngine.counters`.  Its ``solver_calls`` counts actual
-solver launches, so tests and benchmarks can assert that steps 1-3
+solver launches, so tests and benchmarks can assert that steps 2-4
 never touched a solver.
 
 Concurrency model: the engine does not serialize queries.  Distinct
@@ -37,7 +41,10 @@ processes — each race leases its own workers, and the portfolio
 apportions them between live races.  ``self.lock`` is a narrow
 mutex guarding only shared mutable state with no thread-safety of its
 own: the cache's LRU order and the in-flight table.  It is **never held
-across solver execution**.
+across solver execution**.  A cache miss joins or installs the
+fingerprint's in-flight entry in the same acquisition that read the
+cache, and a leader stores its verdict before it retires its entry, so
+a query finds either the verdict or the race, never a gap between them.
 """
 
 from __future__ import annotations
@@ -62,9 +69,10 @@ from repro.obs.metrics import ENGINE_COUNTERS, LATENCY_HISTOGRAM, MetricsRegistr
 class _InFlight:
     """One pending fingerprint in the single-flight table.
 
-    The first thread to install an entry is the *leader* and runs the
-    real pipeline; everyone else parks on ``event`` and copies the
-    leader's result (or re-raises its error) when it fires.
+    The first query to miss the cache installs the entry and is the
+    *leader*: it runs the race.  Every query that misses while the race
+    runs parks on ``event`` and copies the leader's result (or re-raises
+    its error) when it fires.
     """
 
     event: threading.Event = field(default_factory=threading.Event)
@@ -165,55 +173,49 @@ class PortfolioEngine:
         deadline: float | None = None,
         seed: int | None = None,
         hint: Assignment | None = None,
-        use_cache: bool = True,
-        lead: str | None = None,
     ) -> SolveResponse:
-        """Answer a query on the kernel *cnf*: coalesce, then cache/hint/race.
+        """Answer a query on the kernel *cnf*: hint, cache, coalesce, race.
 
-        Args:
-            lead: per-race lead-solver override forwarded to
-                :meth:`Portfolio.solve` (e.g. ``"cdcl"`` on tightening
-                engineering changes).
+        The ``cache.lookup`` stage spans the hint check, the cache read
+        and the choice to join or lead a race; its ``tier`` tag records
+        which answered.  A joiner waits in an ``inflight.join`` stage of
+        its own, after its ``engine.solve`` stage.
         """
         t0 = time.perf_counter()
         # fp-v2 is incrementally maintained on the kernel: every query
         # after an EC edit pays O(changed clauses), and the first query
         # pays O(clauses) once — or one SHA-256 of the clause arrays when
         # the process fingerprinted the same clause sequence before (a
-        # repeated wire request).  Skipped entirely when the caller
-        # bypasses the cache — which also opts out of coalescing (no
-        # fingerprint, no coalescing key).
-        fp = ""
-        if use_cache:
-            with tracing.stage("fingerprint"):
-                fp = cnf.fingerprint()
-
-        flight: _InFlight | None = None
-        if use_cache:
-            with self.lock:
-                flight = self._inflight.get(fp)
-                leader = flight is None
-                if leader:
-                    flight = self._inflight[fp] = _InFlight()
-            if not leader:
-                return self._join(flight, fp, t0)
-
+        # repeated wire request).
+        with tracing.stage("fingerprint"):
+            fp = cnf.fingerprint()
         delta = dict.fromkeys(ENGINE_COUNTERS, 0)
+        delta["solves"] = 1
+        join = leading = None
         try:
             with tracing.stage("engine.solve") as sp:
-                if sp is not None and flight is not None:
-                    flight.span_id = sp.span_id
-                result = self._solve_pipeline(
-                    cnf, fp, deadline=deadline, seed=seed, hint=hint,
-                    use_cache=use_cache, lead=lead, delta=delta, t0=t0,
-                )
-                if sp is not None:
+                with tracing.stage("cache.lookup") as lookup:
+                    result, join, leading = self._lookup(
+                        cnf, fp, hint, delta, t0, lookup
+                    )
+                if leading is not None:
+                    if sp is not None:
+                        leading.span_id = sp.span_id
+                    result = self._race(
+                        cnf, fp, deadline=deadline, seed=seed, hint=hint,
+                        delta=delta, t0=t0,
+                    )
+                if sp is not None and result is not None:
                     sp.tags["source"] = result.source
                     sp.tags["status"] = result.status
         except BaseException as exc:
-            self._finish_flight(fp, flight, None, exc)
+            if leading is not None:
+                self._retire(fp, leading, None, exc)
             raise
-        self._finish_flight(fp, flight, result, None)
+        if leading is not None:
+            self._retire(fp, leading, result, None)
+        if join is not None:
+            return self._join(join, t0)
         # Published OUTSIDE the engine lock: the registry's own narrow
         # lock is the only thing a live reader contends with.
         self.metrics.bump(
@@ -222,7 +224,79 @@ class PortfolioEngine:
         )
         return result
 
-    def _join(self, flight: _InFlight, fp: str, t0: float) -> SolveResponse:
+    def _lookup(
+        self,
+        cnf: PackedCNF,
+        fp: str,
+        hint: Assignment | None,
+        delta: dict,
+        t0: float,
+        sp,
+    ) -> tuple[SolveResponse | None, _InFlight | None, _InFlight | None]:
+        """The hint, then the cache; on a miss, the fingerprint's flight.
+
+        Returns ``(answer, join, leading)`` with exactly one of them set:
+        the hint's or the cache's answer, a concurrent race's in-flight
+        entry to join, or the entry this query installed and now leads.
+        """
+        # The hint is checked BEFORE the cache and any concurrent race:
+        # a still-valid current solution must win over another model —
+        # serving one here would churn the very solution the EC
+        # methodology tries to preserve.
+        if hint is not None and cnf.is_satisfied(hint):
+            delta["revalidations"] += 1
+            model = hint.copy()
+            with self.lock:
+                self.cache.put(fp, True, model, solver="revalidation")
+            if sp is not None:
+                sp.tags["tier"] = "revalidation"
+            response = SolveResponse(
+                SAT, assignment=model, fingerprint=fp,
+                source="revalidation", wall_time=time.perf_counter() - t0,
+            )
+            return response, None, None
+
+        # One acquisition reads the cache and, on a miss, joins or
+        # installs the flight.  A leader stores its verdict before it
+        # retires its flight, so a miss always finds the race in flight
+        # and never starts a second one.
+        with self.lock:
+            entry = self.cache.get(fp)
+            if entry is None:
+                join, leading = self._flight_locked(fp)
+        if entry is None:
+            if sp is not None:
+                sp.tags["tier"] = "miss"
+            return None, join, leading
+        if not entry.satisfiable or cnf.is_satisfied(entry.assignment):
+            delta["cache_hits"] += 1
+            if sp is not None:
+                sp.tags["tier"] = "hit-sat" if entry.satisfiable else "hit-unsat"
+            response = SolveResponse(
+                SAT if entry.satisfiable else UNSAT,
+                assignment=entry.assignment, fingerprint=fp, source="cache",
+                wall_time=time.perf_counter() - t0, from_cache=True,
+            )
+            return response, None, None
+        # A cached model that no longer verifies means a hash collision
+        # or an upstream bug; drop it and race.
+        with self.lock:
+            self.cache.invalidate(fp)
+            join, leading = self._flight_locked(fp)
+        if sp is not None:
+            sp.tags["tier"] = "invalidated"
+        return None, join, leading
+
+    def _flight_locked(self, fp: str) -> tuple[_InFlight | None, _InFlight | None]:
+        """``(join, leading)``: the fingerprint's in-flight entry to join, or
+        a new one this query leads.  Needs ``self.lock`` held."""
+        flight = self._inflight.get(fp)
+        if flight is not None:
+            return flight, None
+        flight = self._inflight[fp] = _InFlight()
+        return None, flight
+
+    def _join(self, flight: _InFlight, t0: float) -> SolveResponse:
         """Park on a concurrent identical query and copy its answer."""
         # The stage covers the whole park: its duration IS the time this
         # request spent waiting on the leader's race.  The leader tag is
@@ -243,23 +317,21 @@ class PortfolioEngine:
         # The race's diagnostics stay with the leader.
         return _owned_copy(base, source="inflight-join", wall_time=wall, detail="")
 
-    def _finish_flight(
+    def _retire(
         self,
         fp: str,
-        flight: _InFlight | None,
+        flight: _InFlight,
         result: SolveResponse | None,
         error: BaseException | None,
     ) -> None:
-        """Retire the in-flight entry and release any parked joiners."""
-        if flight is None:
-            return
+        """Retire the leader's in-flight entry and release its joiners."""
         with self.lock:
             self._inflight.pop(fp, None)
         flight.result = result
         flight.error = error
         flight.event.set()
 
-    def _solve_pipeline(
+    def _race(
         self,
         cnf: PackedCNF,
         fp: str,
@@ -267,74 +339,17 @@ class PortfolioEngine:
         deadline: float | None,
         seed: int | None,
         hint: Assignment | None,
-        use_cache: bool,
-        lead: str | None,
         delta: dict,
         t0: float,
     ) -> SolveResponse:
-        """The hint -> cache -> race pipeline (leader path).
+        """Race the portfolio (the leader's step) and cache a trusted verdict.
 
         Counter changes go into *delta* (published by the caller in one
-        registry bump); ``self.lock`` is taken only around individual
-        cache operations, never across solving.
+        registry bump); ``self.lock`` is taken only around the cache
+        store, never across solving.
         """
-        delta["solves"] += 1
-
-        # The hint is checked BEFORE the cache: both are O(clauses), and a
-        # still-valid current solution must win over an older cached model
-        # — serving the cache here would churn the very solution the EC
-        # methodology tries to preserve.  One ``cache.lookup`` stage spans
-        # both checks; its ``tier`` tag records which answered.
-        with tracing.stage("cache.lookup") as sp:
-            if hint is not None and cnf.is_satisfied(hint):
-                delta["revalidations"] += 1
-                model = hint.copy()
-                if use_cache:
-                    with self.lock:
-                        self.cache.put(fp, True, model, solver="revalidation")
-                if sp is not None:
-                    sp.tags["tier"] = "revalidation"
-                return SolveResponse(
-                    SAT, assignment=model, fingerprint=fp,
-                    source="revalidation", wall_time=time.perf_counter() - t0,
-                )
-
-            if use_cache:
-                with self.lock:
-                    entry = self.cache.get(fp)
-                if entry is not None:
-                    if entry.satisfiable and cnf.is_satisfied(entry.assignment):
-                        delta["cache_hits"] += 1
-                        if sp is not None:
-                            sp.tags["tier"] = "hit-sat"
-                        return SolveResponse(
-                            SAT, assignment=entry.assignment, fingerprint=fp,
-                            source="cache", wall_time=time.perf_counter() - t0,
-                            from_cache=True,
-                        )
-                    if not entry.satisfiable:
-                        delta["cache_hits"] += 1
-                        if sp is not None:
-                            sp.tags["tier"] = "hit-unsat"
-                        return SolveResponse(
-                            UNSAT, fingerprint=fp, source="cache",
-                            wall_time=time.perf_counter() - t0, from_cache=True,
-                        )
-                    # A cached model that no longer verifies means a hash
-                    # collision or an upstream bug; drop it and fall through.
-                    with self.lock:
-                        self.cache.invalidate(fp)
-                    if sp is not None:
-                        sp.tags["tier"] = "invalidated"
-                elif sp is not None:
-                    sp.tags["tier"] = "miss"
-            elif sp is not None:
-                sp.tags["tier"] = "bypass"
-
         delta["races"] += 1
-        result = self.portfolio.solve(
-            cnf, deadline=deadline, seed=seed, hint=hint, lead=lead
-        )
+        result = self.portfolio.solve(cnf, deadline=deadline, seed=seed, hint=hint)
         delta["solver_calls"] += result.launched
         delta["transport_bytes"] += result.transport_bytes
         # Search-effort counters: sum every racer's structured stats —
@@ -346,7 +361,7 @@ class PortfolioEngine:
                 delta["conflicts"] += int(st.get("conflicts", 0) or 0)
                 delta["restarts"] += int(st.get("restarts", 0) or 0)
         outcome = result.outcome
-        if use_cache and outcome.is_definitive:
+        if outcome.is_definitive:
             with self.lock:
                 self.cache.put(
                     fp, outcome.status == SAT, outcome.assignment,
@@ -369,8 +384,6 @@ class PortfolioEngine:
         *,
         deadline: float | None = None,
         seed: int | None = None,
-        use_cache: bool = True,
-        lead: str | None = None,
     ) -> list[SolveResponse]:
         """Answer a batch of queries with one pool warm-up and batch dedup.
 
@@ -392,7 +405,7 @@ class PortfolioEngine:
 
         Args:
             deadline: per-instance wall-clock budget (not a batch total).
-            deadline/seed/use_cache/lead: forwarded to :meth:`solve`.
+            deadline/seed: forwarded to :meth:`solve`.
 
         Returns:
             One :class:`~repro.engine.protocol.SolveResponse` per
@@ -409,13 +422,7 @@ class PortfolioEngine:
                     _owned_copy(results[prior], source="batch-dedup", wall_time=0.0)
                 )
                 continue
-            result = self.solve(
-                cnf,
-                deadline=deadline,
-                seed=seed,
-                use_cache=use_cache,
-                lead=lead,
-            )
+            result = self.solve(cnf, deadline=deadline, seed=seed)
             first_by_fp[fp] = len(results)
             results.append(result)
         return results
@@ -426,20 +433,11 @@ class PortfolioEngine:
         and ``generation``: replaced after dying or being killed), solo
         fallbacks, cache degraded flags, and in-flight table depth (the
         daemon's ``health`` op rides this)."""
-        cache = self.cache
-        if hasattr(cache, "health"):
-            cache_health = cache.health()
-        else:
-            cache_health = {
-                "backend": type(cache).__name__,
-                "degraded": False,
-                "errors": cache.stats.errors,
-            }
         with self.lock:
             inflight = len(self._inflight)
         return {
             "pool": self.portfolio.health(),
-            "cache": cache_health,
+            "cache": self.cache.health(),
             "inflight_fingerprints": inflight,
         }
 

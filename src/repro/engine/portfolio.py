@@ -418,18 +418,13 @@ class Portfolio:
         deadline: float | None = None,
         seed: int | None = None,
         hint: Assignment | None = None,
-        lead: str | None = None,
     ) -> PortfolioResult:
         """Race the line-up on the kernel *packed*; see the module docstring.
 
         Safe to call from any number of threads at once — each call runs
-        its own race on the shared workers.
-
-        Args:
-            lead: name of the configuration to move to the front for this
-                race only — it takes the quick slice and is sent first
-                (the session stages CDCL ahead of DPLL on tightening
-                changes this way).  Unknown names are ignored.
+        its own race on the shared workers.  The line-up races in the
+        order given: the first configuration takes the quick slice and
+        is sent first (the default line-up puts CDCL there).
 
         Returns an ``unknown`` result only when every configuration came
         back undecided within its budget.
@@ -438,10 +433,6 @@ class Portfolio:
             raise ValueError("portfolio has no solver configurations")
         t0 = time.perf_counter()
         configs = self.configs
-        if lead is not None:
-            promoted = [c for c in configs if c.name == lead]
-            if promoted:
-                configs = promoted + [c for c in configs if c.name != lead]
         outcomes: list[SolverOutcome] = []
         launched = 0
 

@@ -13,9 +13,10 @@ an execution policy here:
   solution as hint, which both warm-starts the racers and lets the
   engine short-circuit when the change happened not to break the
   solution after all.  Tightening races lead with the clause-learning
-  CDCL solver (staggered ahead of chronological DPLL): every added
-  clause makes the instance harder, and on the UNSAT-heavy end of a
-  change chain learning dominates by orders of magnitude.
+  CDCL solver, because the default line-up puts it ahead of
+  chronological DPLL: every added clause makes the instance harder,
+  and on the UNSAT-heavy end of a change chain learning dominates by
+  orders of magnitude.
 
 Sessions are tenants of the :class:`~repro.service.SolverService`
 facade: every engine query hands ``formula.packed()`` to
@@ -145,24 +146,19 @@ class IncrementalSession:
 
     # ------------------------------------------------------------------
     def query(
-        self,
-        *,
-        deadline: float | None = None,
-        seed: int | None = None,
-        use_cache: bool = True,
-        lead: str | None = None,
+        self, *, deadline: float | None = None, seed: int | None = None
     ) -> SolveResponse:
         """Full engine query of the current specification (non-raising).
 
         The serving-layer primitive: UNSAT/undecided come back as a
         response status.  A satisfiable answer is adopted as the
         session's current solution.  The session's own solution is the
-        hint; ``use_cache``/``lead`` forward to the engine.
+        hint.
         """
         with self.lock:
             response = self._service.query(
                 self.formula.packed(), deadline=deadline, seed=seed,
-                hint=self.assignment, use_cache=use_cache, lead=lead,
+                hint=self.assignment,
             )
             if response.status == SAT:
                 self.assignment = response.assignment
@@ -206,8 +202,7 @@ class IncrementalSession:
 
         Loosening-only batches are answered by revalidating the current
         solution (no engine contact at all); tightening batches go
-        through the service with the previous solution as warm start and
-        CDCL promoted to the lead slot.
+        through the service with the previous solution as warm start.
 
         Raises:
             ECError: without a starting solution (the §5 policy is
@@ -240,7 +235,7 @@ class IncrementalSession:
                 )
             response = self._service.query(
                 self.formula.packed(), deadline=deadline, seed=seed,
-                hint=self.assignment, lead="cdcl",
+                hint=self.assignment,
             )
             if response.status == SAT:
                 # Only a satisfiable answer settles the pending

@@ -376,8 +376,6 @@ class ServiceClient:
         *,
         deadline: float | None = None,
         seed: int | None = None,
-        use_cache: bool = True,
-        lead: str | None = None,
     ) -> list[SolveResponse]:
         """Ship a batch of packed kernels in one frame (``solve_many``).
 
@@ -391,8 +389,6 @@ class ServiceClient:
             cnfs,
             deadline=deadline,
             seed=seed,
-            use_cache=use_cache,
-            lead=lead,
             trace=(
                 tracing.ctx_to_wire(span.context) if span is not None else None
             ),

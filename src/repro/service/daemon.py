@@ -29,9 +29,8 @@ What the daemon adds to the frame server is its ops:
     connection before the page is sent.
 ``solve``
     a :class:`~repro.service.requests.SolveRequest` (instance in the
-    binary payload as packed wire bytes, or a server-side DIMACS path in
-    the header); with a ``session`` name it opens/re-queries a named
-    incremental session.
+    binary payload as packed wire bytes); with a ``session`` name it
+    opens/re-queries a named incremental session.
 ``change``
     a :class:`~repro.service.requests.ChangeRequest` against a named
     session.

@@ -6,17 +6,18 @@ and the ``repro serve`` daemon — speaks these three records instead of
 its own argument shapes:
 
 * :class:`SolveRequest` — one satisfiability query.  The formula arrives
-  **by value** (a :class:`~repro.cnf.formula.CNFFormula`), as a DIMACS
-  path the service reads, or as the packed kernel's wire bytes
+  **by value** (a :class:`~repro.cnf.formula.CNFFormula`) or as the
+  packed kernel's wire bytes
   (:meth:`~repro.cnf.packed.PackedCNF.to_bytes` — what a remote client
-  ships); exactly one source must be set.  ``strategy`` picks the route
-  (the portfolio engine, the paper's ILP encoding, or any single named
-  solver), ``session`` scopes the query to a named incremental session.
+  ships; a client reads its own files); at most one source may be set.
+  ``strategy`` picks the route (the portfolio engine, the paper's ILP
+  encoding, or any single named solver), ``session`` scopes the query
+  to a named incremental session.
 * :class:`ChangeRequest` — one engineering-change batch against a named
   session: apply the :class:`~repro.core.change.ChangeSet`, then re-solve
   under the session's §5 policy (``ec_mode="auto"``: loosening batches
-  revalidate in O(1), tightening batches race with CDCL promoted) or
-  force a full engine query (``ec_mode="force"``).
+  revalidate in O(1), tightening batches race) or force a full engine
+  query (``ec_mode="force"``).
 * :class:`SolveResponse` — the uniform answer: tri-state ``status``, the
   model, fingerprint, and provenance (source/winner/from_cache).  A
   proven-UNSAT or undecided query is a *response*, never an exception —
@@ -50,7 +51,6 @@ class SolveRequest:
 
     Attributes:
         formula: the instance by value.
-        dimacs_path: ... or a DIMACS file the service reads.
         packed_bytes: ... or the packed kernel's wire bytes.
         strategy: ``"portfolio"`` (default), ``"ilp"``, or a single
             solver name (``cdcl``/``dpll``/``walksat``/``brute``/
@@ -58,8 +58,6 @@ class SolveRequest:
         method: ILP method (only with ``strategy="ilp"``).
         deadline: wall-clock budget in seconds.
         seed: race seed for randomized solvers.
-        use_cache: bypass the verdict cache when False.
-        lead: per-race lead-solver override (portfolio strategy only).
         hint: previous solution to revalidate / warm-start from
             (stateless requests only — a session-scoped request always
             uses the session's own solution and rejects a caller hint).
@@ -81,30 +79,23 @@ class SolveRequest:
     """
 
     formula: CNFFormula | None = None
-    dimacs_path: str | None = None
     packed_bytes: bytes | None = None
     strategy: str = PORTFOLIO_STRATEGY
     method: str = "exact"
     deadline: float | None = None
     seed: int | None = None
-    use_cache: bool = True
-    lead: str | None = None
     hint: Assignment | None = None
     session: str | None = None
     request_id: str | None = None
     trace: dict | None = None
 
     def __post_init__(self) -> None:
-        sources = sum(
-            x is not None
-            for x in (self.formula, self.dimacs_path, self.packed_bytes)
-        )
-        if sources > 1:
+        if self.formula is not None and self.packed_bytes is not None:
             raise ValueError(
                 "SolveRequest takes at most one formula source "
-                "(formula | dimacs_path | packed_bytes)"
+                "(formula | packed_bytes)"
             )
-        if sources == 0 and self.session is None:
+        if not self.has_source and self.session is None:
             raise ValueError(
                 "SolveRequest needs a formula source or a session name"
             )
@@ -112,11 +103,7 @@ class SolveRequest:
     @property
     def has_source(self) -> bool:
         """Whether any formula source is set."""
-        return (
-            self.formula is not None
-            or self.dimacs_path is not None
-            or self.packed_bytes is not None
-        )
+        return self.formula is not None or self.packed_bytes is not None
 
 
 #: Recognized :class:`ChangeRequest` execution modes.

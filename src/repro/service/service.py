@@ -178,8 +178,6 @@ class SolverService:
         deadline: float | None = None,
         seed: int | None = None,
         hint=None,
-        use_cache: bool = True,
-        lead: str | None = None,
     ) -> SolveResponse:
         """One query on the kernel *cnf* — lock-free on this layer.
 
@@ -190,10 +188,7 @@ class SolverService:
         engine; identical fingerprints coalesce onto one in-flight race.
         """
         self._check_open()
-        return self.engine.solve(
-            cnf, deadline=deadline, seed=seed, hint=hint,
-            use_cache=use_cache, lead=lead,
-        )
+        return self.engine.solve(cnf, deadline=deadline, seed=seed, hint=hint)
 
     # ------------------------------------------------------------------
     # the typed front door
@@ -286,12 +281,8 @@ class SolverService:
         cnf = self._materialize(request)
         if request.strategy == PORTFOLIO_STRATEGY:
             return self.query(
-                cnf,
-                deadline=request.deadline,
-                seed=request.seed,
+                cnf, deadline=request.deadline, seed=request.seed,
                 hint=request.hint,
-                use_cache=request.use_cache,
-                lead=request.lead,
             )
         if request.strategy == ILP_STRATEGY:
             return self._solve_ilp(cnf, request)
@@ -301,9 +292,9 @@ class SolverService:
         """Apply a change batch to a named session and re-solve.
 
         ``ec_mode="auto"`` runs the session's §5 policy (loosening
-        batches revalidate without any solver, tightening batches race
-        with CDCL promoted); ``ec_mode="force"`` always runs a full
-        engine query after applying the batch.
+        batches revalidate without any solver, tightening batches race);
+        ``ec_mode="force"`` always runs a full engine query after
+        applying the batch.
 
         A request carrying a ``change_id`` the session already applied
         replays the recorded response instead of mutating the formula
@@ -415,8 +406,6 @@ class SolverService:
         *,
         deadline: float | None = None,
         seed: int | None = None,
-        use_cache: bool = True,
-        lead: str | None = None,
     ) -> list[SolveResponse]:
         """Batch entry point: one shared pool, intra-batch fp dedup.
 
@@ -433,10 +422,7 @@ class SolverService:
         self.metrics.adjust_gauge("inflight", 1)
         responses = None
         try:
-            responses = self.engine.solve_many(
-                cnfs, deadline=deadline, seed=seed,
-                use_cache=use_cache, lead=lead,
-            )
+            responses = self.engine.solve_many(cnfs, deadline=deadline, seed=seed)
         finally:
             self.metrics.adjust_gauge("inflight", -1)
             if cnfs:
@@ -447,8 +433,7 @@ class SolverService:
         if self.recorder is not None:
             self.recorder.record_solve_many(
                 cnfs,
-                {"deadline": deadline, "seed": seed,
-                 "use_cache": use_cache, "lead": lead},
+                {"deadline": deadline, "seed": seed},
                 responses,
                 time.perf_counter() - t0,
             )
@@ -464,8 +449,6 @@ class SolverService:
         *,
         deadline: float | None = None,
         seed: int | None = None,
-        use_cache: bool = True,
-        lead: str | None = None,
     ) -> SolveResponse:
         """Create a named session over the shared engine and solve it.
 
@@ -490,9 +473,7 @@ class SolverService:
         # The initial solve runs outside the service lock so concurrent
         # opens (and everything else) overlap; the session is visible in
         # the table already, and its own lock orders any racing change().
-        response = session.query(
-            deadline=deadline, seed=seed, use_cache=use_cache, lead=lead
-        )
+        response = session.query(deadline=deadline, seed=seed)
         return response.with_context(session=name)
 
     def close_session(self, name: str) -> bool:
@@ -556,12 +537,7 @@ class SolverService:
             # Two concurrent creators race to open_session's own check:
             # exactly one wins, the other gets the "already exists" error.
             response = self.open_session(
-                name,
-                formula,
-                deadline=request.deadline,
-                seed=request.seed,
-                use_cache=request.use_cache,
-                lead=request.lead,
+                name, formula, deadline=request.deadline, seed=request.seed
             )
             if request.request_id is not None:
                 # Recorded before the response frame leaves the daemon,
@@ -573,10 +549,7 @@ class SolverService:
                         created.open_id = request.request_id
                         created.open_response = response
             return response
-        response = session.query(
-            deadline=request.deadline, seed=request.seed,
-            use_cache=request.use_cache, lead=request.lead,
-        )
+        response = session.query(deadline=request.deadline, seed=request.seed)
         return response.with_context(session=name)
 
     # ------------------------------------------------------------------
@@ -650,14 +623,8 @@ class SolverService:
         trace stage)."""
         if request.formula is not None:
             return request.formula.packed()
-        if request.packed_bytes is not None:
-            with tracing.stage("materialize"):
-                return PackedCNF.from_bytes(request.packed_bytes)
-        if request.dimacs_path is not None:
-            from repro.cnf.dimacs import read_dimacs
-
-            return read_dimacs(request.dimacs_path).packed()
-        raise ServiceError("request carries no formula source")
+        with tracing.stage("materialize"):
+            return PackedCNF.from_bytes(request.packed_bytes)
 
     def stats(self) -> dict:
         """Engine + cache counters as one JSON-able snapshot.
@@ -673,23 +640,17 @@ class SolverService:
         runner diffs two snapshots to report per-run counters).  The
         ``cache`` block carries the backend's introspection
         (``entries``/``bytes``/``evictions`` from
-        :meth:`~repro.engine.cache.CacheBackend.info`), read under the
-        engine's narrow lock.
+        :meth:`~repro.engine.cache.CacheBackend.info`), read without the
+        engine lock: a disk cache's ``info`` stats every entry file, and
+        no query may wait on that.
         """
-        engine = self.engine
         metrics = self.metrics.snapshot()
         counters = metrics["counters"]
-        with engine.lock:
-            cache = engine.cache
-            cache_info = (
-                cache.info() if hasattr(cache, "info")
-                else {"backend": type(cache).__name__, "entries": len(cache),
-                      "bytes": 0, "evictions": cache.stats.evictions}
-            )
-            cache_block = {
-                **asdict(cache.stats), "hit_rate": cache.stats.hit_rate,
-                **cache_info,
-            }
+        cache = self.engine.cache
+        cache_block = {
+            **asdict(cache.stats), "hit_rate": cache.stats.hit_rate,
+            **cache.info(),
+        }
         with self._lock:
             sessions = sorted(self._sessions)
         return {

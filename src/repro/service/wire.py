@@ -17,6 +17,11 @@ A frame with no instance has ``payload_len == 0``.
 This module also owns the JSON codecs for the typed records in
 :mod:`repro.service.requests` and for :class:`~repro.core.change.
 ChangeSet` batches, so the client and the daemon cannot drift apart.
+The decoders ignore header keys the encoders do not write, so frames
+from older clients and recorded traces still parse, and the keys of
+retired request options are answered as if absent.  A solve frame's
+instance rides the payload: a frame naming a file for the daemon to
+read instead is refused, never opened.
 """
 
 from __future__ import annotations
@@ -235,13 +240,10 @@ def solve_request_to_wire(request: SolveRequest) -> tuple[dict, bytes]:
         "method": request.method,
         "deadline": request.deadline,
         "seed": request.seed,
-        "use_cache": request.use_cache,
-        "lead": request.lead,
         "hint": (
             list(request.hint.to_literals()) if request.hint is not None else None
         ),
         "session": request.session,
-        "dimacs_path": request.dimacs_path,
         "request_id": request.request_id,
     }
     if request.trace is not None:
@@ -253,17 +255,18 @@ def solve_request_to_wire(request: SolveRequest) -> tuple[dict, bytes]:
 
 
 def solve_request_from_wire(header: dict, payload: bytes) -> SolveRequest:
-    """Rebuild a :class:`SolveRequest` on the daemon side."""
+    """Rebuild a :class:`SolveRequest` on the daemon side; a frame with
+    neither a payload nor a session is refused (see the module
+    docstring)."""
+    if not payload and header.get("session") is None:
+        raise WireError("a solve frame needs a packed payload or a session")
     hint = header.get("hint")
     return SolveRequest(
         packed_bytes=payload or None,
-        dimacs_path=header.get("dimacs_path"),
         strategy=header.get("strategy", "portfolio"),
         method=header.get("method", "exact"),
         deadline=header.get("deadline"),
         seed=header.get("seed"),
-        use_cache=bool(header.get("use_cache", True)),
-        lead=header.get("lead"),
         hint=Assignment.from_literals(hint) if hint is not None else None,
         session=header.get("session"),
         request_id=header.get("request_id"),
@@ -309,8 +312,6 @@ def batch_request_to_wire(
     *,
     deadline: float | None = None,
     seed: int | None = None,
-    use_cache: bool = True,
-    lead: str | None = None,
     trace: dict | None = None,
 ) -> tuple[dict, bytes]:
     """(header, payload) for a ``solve_many`` batch of packed kernels.
@@ -326,8 +327,6 @@ def batch_request_to_wire(
         "lens": [len(p) for p in payloads],
         "deadline": deadline,
         "seed": seed,
-        "use_cache": use_cache,
-        "lead": lead,
     }
     if trace is not None:
         header["trace"] = trace
@@ -351,13 +350,7 @@ def batch_request_from_wire(header: dict, payload: bytes) -> tuple[list, dict]:
     for n in lens:
         cnfs.append(PackedCNF.from_bytes(payload[offset:offset + n]))
         offset += n
-    options = {
-        "deadline": header.get("deadline"),
-        "seed": header.get("seed"),
-        "use_cache": bool(header.get("use_cache", True)),
-        "lead": header.get("lead"),
-    }
-    return cnfs, options
+    return cnfs, {"deadline": header.get("deadline"), "seed": header.get("seed")}
 
 
 def batch_response_from_wire(header: dict) -> list[SolveResponse]:

@@ -562,12 +562,10 @@ def verify_results(
 
 
 def _materialize(request: SolveRequest):
-    """The kernel a stateless solve request carries (None for paths)."""
+    """The kernel a stateless solve request carries."""
     if request.formula is not None:
         return request.formula.packed()
-    if request.packed_bytes is not None:
-        return PackedCNF.from_bytes(request.packed_bytes)
-    return None
+    return PackedCNF.from_bytes(request.packed_bytes)
 
 
 def _batchable(event: WorkloadEvent) -> bool:
@@ -579,7 +577,6 @@ def _batchable(event: WorkloadEvent) -> bool:
         and req.session is None
         and req.strategy == "portfolio"
         and req.hint is None
-        and req.dimacs_path is None
         and req.has_source
     )
 
@@ -602,14 +599,11 @@ def coalesce_batches(
             i += 1
             continue
         run = [pairs[i]]
-        opts = (
-            event.request.deadline, event.request.seed,
-            event.request.use_cache, event.request.lead,
-        )
+        opts = (event.request.deadline, event.request.seed)
         j = i + 1
         while j < len(pairs) and _batchable(pairs[j][0]):
             req = pairs[j][0].request
-            if (req.deadline, req.seed, req.use_cache, req.lead) != opts:
+            if (req.deadline, req.seed) != opts:
                 break
             run.append(pairs[j])
             j += 1
@@ -620,10 +614,7 @@ def coalesce_batches(
         batched = WorkloadEvent(
             "solve_many",
             formulas=tuple(_materialize(ev.request) for ev, _ in run),
-            options={
-                "deadline": opts[0], "seed": opts[1],
-                "use_cache": opts[2], "lead": opts[3],
-            },
+            options={"deadline": opts[0], "seed": opts[1]},
             at=event.at,
         )
         out.append((batched, [exp[0] for _, exp in run]))

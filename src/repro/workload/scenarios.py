@@ -79,8 +79,8 @@ class WorkloadEvent:
         request: the typed record for ``solve`` / ``change`` events.
         session: target session name for ``close_session`` events.
         formulas: the batch of packed kernels for ``solve_many`` events.
-        options: shared ``solve_many`` options (deadline/seed/
-            use_cache/lead), or None for defaults.
+        options: shared ``solve_many`` options (deadline/seed), or
+            None for defaults.
         at: optional open-loop due time (seconds from stream start);
             replayed traces carry the recorded offsets here.
     """

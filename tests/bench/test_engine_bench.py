@@ -83,3 +83,27 @@ class TestServiceExperiment:
         # One race per tenant's initial solve; the loosening change is
         # answered by the session's O(1) revalidation path.
         assert result["shared_races"] == 2
+
+
+class TestPerRowExperiments:
+    def test_bench_row_smoke(self):
+        """Experiments 1-3 once on a small planted row: the raw race on
+        warmed workers names its winner, the repeated query is a cache
+        hit, and the loosening chain launches no solver."""
+        from repro.bench.engine import bench_row
+        from repro.bench.registry import BenchInstance
+        from repro.cnf.generators import random_planted_ksat
+        from repro.engine.engine import PortfolioEngine
+
+        f, w = random_planted_ksat(16, 56, rng=7)
+        inst = BenchInstance("row", "ci", f, w, "planted")
+        with PortfolioEngine(jobs=1) as engine, PortfolioEngine(
+            jobs=2, quick_slice=0
+        ) as racer:
+            racer.warm_up()
+            row = bench_row(inst, engine, racer, rounds=1, changes=4, seed=0)
+        assert row.portfolio_winner
+        assert row.portfolio > 0 and row.best_sequential > 0
+        assert row.cached_hit > 0
+        assert row.changes == 4
+        assert row.incremental_solver_calls == 0

@@ -239,8 +239,9 @@ class TestWorkerLeases:
         with Portfolio(configs=configs, jobs=2, quick_slice=0.0) as p:
             cut = p.solve(sat_instance.packed(), deadline=0.2, seed=0)
             assert cut.outcome.status == UNKNOWN
+            p.configs = [configs[2], configs[0], configs[1]]  # cdcl first
             t0 = time.perf_counter()
-            result = p.solve(sat_instance.packed(), seed=0, lead="cdcl")
+            result = p.solve(sat_instance.packed(), seed=0)
             elapsed = time.perf_counter() - t0
         assert result.outcome.status == SAT
         assert result.winner == "cdcl"
@@ -392,22 +393,6 @@ class TestConfigs:
         b = run_packed(off, packed, seed=3)
         assert a1.assignment.as_dict() == a2.assignment.as_dict()
         assert a1.status == b.status == SAT
-
-
-class TestLeadPromotion:
-    def test_lead_takes_the_quick_slice(self, sat_instance):
-        with Portfolio(jobs=1) as p:
-            result = p.solve(sat_instance.packed(), seed=0, lead="dpll")
-            assert result.via_quick_slice
-            assert result.winner == "dpll"
-        # ... and the portfolio's own ordering is untouched.
-        assert p.configs[0].name == "cdcl"
-
-    def test_unknown_lead_name_ignored(self, sat_instance):
-        with Portfolio(jobs=1) as p:
-            result = p.solve(sat_instance.packed(), seed=0, lead="no-such-solver")
-            assert result.outcome.status == SAT
-            assert result.winner == "cdcl"
 
 
 class TestWinnerSurvivesCancellation:

@@ -239,20 +239,22 @@ def test_differential_service_vs_direct_engine():
     enough that the deterministic CDCL lead decides every CI-size
     instance, so any divergence is a facade bug, not scheduling noise.
     """
+    from repro.engine.cache import SolutionCache
     from repro.engine.config import EngineConfig
     from repro.engine.engine import PortfolioEngine
     from repro.service.requests import SolveRequest
     from repro.service.service import SolverService
 
     count = int(os.environ.get("REPRO_FUZZ_INSTANCES", "200"))
-    engine = PortfolioEngine(jobs=1, quick_slice=30.0)
-    service = SolverService(EngineConfig(jobs=1, quick_slice=30.0))
+    # Caches that hold nothing: every query on both sides is a race.
+    engine = PortfolioEngine(
+        jobs=1, quick_slice=30.0, cache=SolutionCache(max_entries=0)
+    )
+    service = SolverService(EngineConfig(jobs=1, quick_slice=30.0, cache="none"))
     with engine, service:
         for name, formula, seed in _instances(count, stream=1):
-            direct = engine.solve(formula.packed(), seed=seed, use_cache=False)
-            routed = service.solve(SolveRequest(
-                formula=formula, seed=seed, use_cache=False
-            ))
+            direct = engine.solve(formula.packed(), seed=seed)
+            routed = service.solve(SolveRequest(formula=formula, seed=seed))
             problem = _service_mismatch(direct, routed, name, seed)
             if problem is not None:
                 pytest.fail(

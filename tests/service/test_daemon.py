@@ -129,6 +129,54 @@ class TestInProcessDaemon:
         assert engine.counters()["races"] == 0
         assert engine.counters()["solves"] == 0
 
+    def test_a_solve_frame_naming_a_daemon_side_file_is_an_error_frame(
+        self, daemon, tmp_path
+    ):
+        """The daemon opens no file a client names: it neither reads the
+        file nor tells whether it exists, and echoes none of it."""
+        from repro.service.wire import recv_frame, send_frame
+
+        secret = tmp_path / "secret.cnf"
+        secret.write_text("p password=hunter2\n")
+        engine = daemon.service.engine
+        with ServiceClient(daemon.socket_path) as client:
+            for path in (secret, tmp_path / "missing.cnf"):
+                send_frame(
+                    client._sock,
+                    {"op": "solve", "dimacs_path": str(path), "seed": 0},
+                )
+                header, _ = recv_frame(client._sock)
+                assert header["ok"] is False
+                assert "packed payload" in header["error"]
+                assert "hunter2" not in header["error"]
+            assert client.ping()          # same connection still serves
+        assert engine.counters()["solves"] == 0
+
+    def test_retired_header_keys_are_ignored(self, daemon, planted):
+        from repro.service.wire import recv_frame, send_frame
+
+        f, _ = planted
+        payload = f.packed().to_bytes()
+        with ServiceClient(daemon.socket_path) as client:
+            client.solve(SolveRequest(packed_bytes=payload, seed=0))
+            # An older client asking to bypass the cache and promote DPLL
+            # is answered as if it had not: from the cache.
+            send_frame(
+                client._sock,
+                {"op": "solve", "seed": 0, "use_cache": False, "lead": "dpll"},
+                payload,
+            )
+            header, _ = recv_frame(client._sock)
+            assert header["ok"] is True and header["source"] == "cache"
+            send_frame(
+                client._sock,
+                {"op": "solve_many", "lens": [len(payload)],
+                 "use_cache": False, "lead": "dpll"},
+                payload,
+            )
+            header, _ = recv_frame(client._sock)
+            assert [r["source"] for r in header["results"]] == ["cache"]
+
     def test_a_batch_holding_one_undeclared_payload_is_an_error_frame(
         self, daemon, planted
     ):
@@ -366,23 +414,3 @@ class TestCrossProcess:
         assert all(r["wall"] >= 0 for r in solve_ops)
         assert solve_ops[-1]["source"] == "cache"
         assert {r["event"] for r in records} >= {"listening", "op", "stopped"}
-
-    def test_dimacs_path_request_served_from_daemon_host(self, tmp_path, planted):
-        # The daemon reads a server-side DIMACS path: useful when client
-        # and daemon share a filesystem and the instance is already on
-        # disk (no bytes shipped at all).
-        f, _ = planted
-        cnf = tmp_path / "inst.cnf"
-        write_dimacs(f, cnf)
-        sock = tmp_path / "serve.sock"
-        proc = _spawn_serve(sock, tmp_path / "cache", tmp_path / "log")
-        try:
-            with ServiceClient(str(sock)) as client:
-                response = client.solve(
-                    SolveRequest(dimacs_path=str(cnf), seed=0)
-                )
-                assert response.status == "sat"
-                client.shutdown()
-        finally:
-            proc.communicate(timeout=30)
-        assert proc.returncode == 0

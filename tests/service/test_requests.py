@@ -18,6 +18,8 @@ from repro.core.change import (
 from repro.service.requests import ChangeRequest, SolveRequest, SolveResponse
 from repro.service.wire import (
     WireError,
+    batch_request_from_wire,
+    batch_request_to_wire,
     change_request_from_wire,
     change_request_to_wire,
     changes_from_wire,
@@ -42,7 +44,7 @@ class TestSolveRequest:
 
     def test_at_most_one_source(self, formula):
         with pytest.raises(ValueError, match="at most one"):
-            SolveRequest(formula=formula, dimacs_path="x.cnf")
+            SolveRequest(formula=formula, packed_bytes=formula.packed().to_bytes())
 
     def test_source_or_session_required(self):
         with pytest.raises(ValueError, match="formula source or a session"):
@@ -74,20 +76,41 @@ class TestWireCodecs:
     def test_solve_request_ships_packed_bytes(self, formula):
         request = SolveRequest(
             formula=formula, deadline=2.5, seed=7,
-            hint=Assignment({1: True}), lead="cdcl",
+            hint=Assignment({1: True}),
         )
         header, payload = solve_request_to_wire(request)
         assert payload == formula.packed().to_bytes()
         rebuilt = solve_request_from_wire(header, payload)
         assert rebuilt.packed_bytes == payload
         assert rebuilt.deadline == 2.5 and rebuilt.seed == 7
-        assert rebuilt.lead == "cdcl"
         assert rebuilt.hint.as_dict() == {1: True}
         # The daemon-side formula is semantically the client's.
         roundtripped = PackedCNF.from_bytes(rebuilt.packed_bytes).to_formula()
         assert {c.literals for c in roundtripped.clauses} == {
             c.literals for c in formula.clauses
         }
+
+    def test_retired_keys_parse_as_if_absent(self, formula):
+        header, payload = solve_request_to_wire(
+            SolveRequest(formula=formula, seed=7)
+        )
+        assert not {"use_cache", "lead", "dimacs_path"} & set(header)
+        old = {**header, "use_cache": False, "lead": "dpll"}
+        assert solve_request_from_wire(old, payload) == solve_request_from_wire(
+            header, payload
+        )
+        header, payload = batch_request_to_wire([formula.packed()], seed=7)
+        assert not {"use_cache", "lead"} & set(header)
+        _, options = batch_request_from_wire(
+            {**header, "use_cache": False, "lead": "dpll"}, payload
+        )
+        assert options == {"deadline": None, "seed": 7}
+
+    def test_a_solve_frame_without_an_instance_is_refused(self):
+        with pytest.raises(WireError, match="packed payload or a session"):
+            solve_request_from_wire({"op": "solve", "dimacs_path": "x.cnf"}, b"")
+        rebuilt = solve_request_from_wire({"op": "solve", "session": "t"}, b"")
+        assert rebuilt.session == "t" and not rebuilt.has_source
 
     def test_change_request_round_trips_every_change_kind(self):
         changes = ChangeSet([

@@ -1,9 +1,12 @@
 """SolverService: the one facade over flow, engine, and sessions."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.cnf.clause import Clause
-from repro.cnf.dimacs import write_dimacs
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import random_planted_ksat
 from repro.core.change import AddClause, AddVariable, ChangeSet, RemoveClause
@@ -48,13 +51,6 @@ class TestStatelessSolve:
     def test_portfolio_unsat_is_a_response_not_an_exception(self, service):
         response = service.solve(SolveRequest(formula=CNFFormula([[1], [-1]])))
         assert response.status == "unsat" and response.assignment is None
-
-    def test_dimacs_path_source(self, service, planted, tmp_path):
-        f, _ = planted
-        path = tmp_path / "f.cnf"
-        write_dimacs(f, path)
-        response = service.solve(SolveRequest(dimacs_path=str(path), seed=0))
-        assert response.status == "sat"
 
     def test_packed_bytes_source(self, service, planted):
         f, _ = planted
@@ -159,18 +155,6 @@ class TestSessions:
         service.solve(SolveRequest(formula=f, session="t", seed=0))
         response = service.solve(SolveRequest(session="t", seed=0))
         assert response.status == "sat" and response.session == "t"
-
-    def test_session_request_honors_use_cache_and_lead(self, service, planted):
-        f, _ = planted
-        service.solve(SolveRequest(formula=f, session="t", seed=0))
-        hits = service.engine.cache.stats.hits
-        fresh = service.solve(SolveRequest(
-            session="t", seed=0, use_cache=False, lead="dpll",
-        ))
-        # The bypass flag reached the engine: no cache hit recorded, and
-        # the hint revalidation answered (the session's own solution).
-        assert fresh.status == "sat" and not fresh.from_cache
-        assert service.engine.cache.stats.hits == hits
 
     def test_session_request_rejects_a_caller_hint(self, service, planted):
         f, _ = planted
@@ -354,6 +338,83 @@ class TestCacheBackends:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown cache backend"):
             EngineConfig(cache="redis")
+
+
+class TestStatsOffTheEngineLock:
+    """``stats()`` reads the cache's introspection without the engine
+    lock, which every cache lookup takes."""
+
+    def test_a_slow_disk_scan_does_not_stall_cache_hits(
+        self, tmp_path, planted, monkeypatch
+    ):
+        f, _ = planted
+        config = EngineConfig(
+            jobs=1, cache="disk", cache_dir=str(tmp_path / "cache")
+        )
+        real_info = DiskCache.info
+        scanning = threading.Event()
+
+        def slow_info(cache):
+            scanning.set()
+            time.sleep(0.5)
+            return real_info(cache)
+
+        with SolverService(config) as svc:
+            svc.solve(SolveRequest(formula=f, seed=0))
+            monkeypatch.setattr(DiskCache, "info", slow_info)
+            reader = threading.Thread(target=svc.stats)
+            reader.start()
+            assert scanning.wait(5)
+            t0 = time.perf_counter()
+            hit = svc.engine.solve(f.packed())
+            waited = time.perf_counter() - t0
+            reader.join(timeout=10)
+        assert hit.source == "cache"
+        assert waited < 0.1
+
+    def test_stats_while_other_threads_hit_and_evict(self):
+        # 40 instances through a 16-entry cache: every pass evicts, so
+        # stats() reads the entries while puts and LRU moves mutate them.
+        formulas = [random_planted_ksat(8, 20, rng=i)[0] for i in range(40)]
+        errors: list = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            snapshot = self._hit_and_read(formulas, errors)
+        finally:
+            sys.setswitchinterval(previous)
+        assert errors == []
+        assert snapshot["engine"]["solves"] > len(formulas)
+
+    @staticmethod
+    def _hit_and_read(formulas, errors):
+        with SolverService(EngineConfig(jobs=1, cache_entries=16)) as svc:
+            stop = time.monotonic() + 0.5
+
+            def loop(step):
+                try:
+                    while time.monotonic() < stop:
+                        step()
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(repr(exc))
+
+            def query_all():
+                for f in formulas:
+                    svc.query(f.packed(), seed=0)
+
+            def read_stats():
+                assert 0 <= svc.stats()["cache"]["entries"] <= 16
+
+            threads = [
+                threading.Thread(target=loop, args=(step,))
+                for step in (query_all, query_all, query_all, read_stats)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            return svc.stats()
 
 
 class TestLifecycle:

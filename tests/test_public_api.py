@@ -76,6 +76,48 @@ class TestOneCopyOnTheEnginePath:
         assert out.stdout.strip() == "[]"
 
 
+class TestRequestOptions:
+    """The settable values of a query: the request record's fields and
+    the keyword options of each layer a query passes through."""
+
+    def test_solve_request_fields(self):
+        import dataclasses
+
+        from repro.service.requests import SolveRequest
+
+        assert [f.name for f in dataclasses.fields(SolveRequest)] == [
+            "formula", "packed_bytes", "strategy", "method", "deadline",
+            "seed", "hint", "session", "request_id", "trace",
+        ]
+
+    @pytest.mark.parametrize(
+        "owner, method, keywords",
+        [
+            ("repro.engine.engine:PortfolioEngine", "solve",
+             {"deadline", "seed", "hint"}),
+            ("repro.engine.engine:PortfolioEngine", "solve_many",
+             {"deadline", "seed"}),
+            ("repro.engine.portfolio:Portfolio", "solve",
+             {"deadline", "seed", "hint"}),
+            ("repro.service.service:SolverService", "query",
+             {"deadline", "seed", "hint"}),
+            ("repro.service.service:SolverService", "solve_many",
+             {"deadline", "seed"}),
+            ("repro.service.client:ServiceClient", "solve_many",
+             {"deadline", "seed"}),
+            ("repro.engine.session:IncrementalSession", "query",
+             {"deadline", "seed"}),
+        ],
+    )
+    def test_keyword_options(self, owner, method, keywords):
+        import inspect
+
+        module, cls = owner.split(":")
+        fn = getattr(getattr(importlib.import_module(module), cls), method)
+        params = inspect.signature(fn).parameters.values()
+        assert {p.name for p in params if p.kind is p.KEYWORD_ONLY} == keywords
+
+
 class TestErrorHierarchy:
     def test_all_errors_derive_from_repro_error(self):
         for name in dir(errors):

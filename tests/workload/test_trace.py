@@ -61,7 +61,7 @@ class TestRoundTrip:
         with TraceRecorder(str(path)) as recorder:
             recorder.record_solve_many(
                 [f1.packed(), f2.packed()],
-                {"deadline": None, "seed": 7, "use_cache": True, "lead": None},
+                {"deadline": None, "seed": 7},
                 [SolveResponse("sat"), SolveResponse("sat")],
                 wall=0.01,
             )
